@@ -36,7 +36,6 @@ class TierSchedule:
 
     num_tiers: int
     tier_of: Mapping[int, int]  # user_id -> tier
-    data_per_tier: Mapping[int, float]  # tier -> total samples
     delta_t: float  # seconds per global round
     round_time: float  # T, the slowest user's single-cycle time
 

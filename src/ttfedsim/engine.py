@@ -1,27 +1,32 @@
-"""Run orchestration: tier construction and the four training loops.
+"""Run orchestration: tier construction and one cohort-event loop.
 
-The time-triggered loop advances in fixed rounds of delta_t seconds and
-merges due tiers at each boundary. The three baselines run on a
-continuous clock: synchronous rounds (max over users), a per-arrival
-event queue, or per-tier synchronous rounds with asynchronous merges.
-Schedule timing uses nominal link delays (mean fading, equal bandwidth
-shares) so cadences are deterministic; realized fading only decides
-whether an upload survives. All randomness comes from per-purpose
-sub-streams of the master seed, so trajectories are reproducible
-bit-for-bit regardless of execution order.
+Every algorithm is the same loop: at each event a cohort of users
+finishes its local cycle, their fading is drawn, the uploads that survive
+are trained from the model each user was sent, a merge rule updates the
+global model and the server sends it back to the cohort. The algorithms
+differ only in their rule: when events happen (a fixed grid for ttfed
+and fedavg, a queue of per-user or per-tier cadences for fedasync and
+fedat), who is in the cohort, who may upload with what bandwidth, and
+how uploads merge. Schedule timing uses nominal link delays (mean fading,
+equal bandwidth shares) so cadences are deterministic; realized fading
+only decides whether an upload survives. All randomness comes from
+per-purpose sub-streams of the master seed, so trajectories are
+reproducible bit-for-bit regardless of execution order.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import Iterator
 
 import numpy as np
 
 from . import allocator, wireless
 from .aggregation import (
     TierSchedule,
+    Upload,
     fedavg_aggregate,
     fedasync_aggregate,
     fedat_aggregate,
@@ -79,8 +84,6 @@ class RunMetrics:
     downlink_unicasts: int = 0
     success_total: int = 0
     failed_total: int = 0
-    round_success: list[int] = field(default_factory=list)
-    round_failed: list[int] = field(default_factory=list)
     zero_weight_uploads: int = 0
     substituted_samples: int = 0
 
@@ -136,7 +139,7 @@ def count_comm(
 
 @dataclass
 class Scenario:
-    """Everything a training loop needs, fully materialized."""
+    """Everything the event loop needs, fully materialized."""
 
     config: ScenarioConfig
     params: ChannelParams
@@ -182,33 +185,43 @@ def _ceil_with_boundary(x: float) -> int:
     return int(math.ceil(x))
 
 
+def _nominal_cycle(
+    tau_cp: np.ndarray, distances: np.ndarray, params: ChannelParams
+) -> np.ndarray:
+    """Per-user t_u: compute time plus upload time at an equal share B/U under mean fading."""
+    share = params.total_bandwidth / len(distances)
+    return tau_cp + np.array(
+        [
+            wireless.comm_delay(
+                share, wireless.path_loss(float(d), params.path_loss_exponent), params
+            )
+            for d in distances
+        ]
+    )
+
+
 def build_tiers(
     profiles: list[ComputeProfile],
     distances: np.ndarray,
     params: ChannelParams,
     delta_t_s: float | None = None,
     delta_t_frac: float | None = None,
+    cycle: np.ndarray | None = None,
 ) -> TierSchedule:
     """Group users by how many global rounds one local cycle needs.
 
     The nominal cycle t_u = compute time + upload time at equal-share
-    bandwidth B/U under mean fading. T = max t_u; the interval is either
-    given in seconds or as a fraction of T; user u joins tier
-    ceil(t_u / delta_t) and M = ceil(T / delta_t).
+    bandwidth B/U under mean fading; pass `cycle` when it is already
+    known. T = max t_u; the interval is either given in seconds or as a
+    fraction of T; user u joins tier ceil(t_u / delta_t) and
+    M = ceil(T / delta_t).
     """
     num_users = len(profiles)
     if num_users == 0:
         raise ValueError("no users")
-    share = params.total_bandwidth / num_users
-    cycle = np.array(
-        [
-            wireless.compute_delay(p)
-            + wireless.comm_delay(
-                share, wireless.path_loss(float(d), params.path_loss_exponent), params
-            )
-            for p, d in zip(profiles, distances)
-        ]
-    )
+    if cycle is None:
+        tau_cp = np.array([wireless.compute_delay(p) for p in profiles])
+        cycle = _nominal_cycle(tau_cp, distances, params)
     slowest = float(cycle.max())
     if delta_t_s is not None:
         delta = delta_t_s
@@ -221,13 +234,9 @@ def build_tiers(
         u: min(num_tiers, _ceil_with_boundary(float(cycle[u]) / delta))
         for u in range(num_users)
     }
-    data_per_tier: dict[int, float] = {m: 0.0 for m in range(1, num_tiers + 1)}
-    for u, p in enumerate(profiles):
-        data_per_tier[tier_of[u]] += p.dataset_size
     return TierSchedule(
         num_tiers=num_tiers,
         tier_of=tier_of,
-        data_per_tier=data_per_tier,
         delta_t=delta,
         round_time=slowest,
     )
@@ -275,20 +284,15 @@ def setup_scenario(
         )
         for u in range(cfg.users)
     ]
+    tau_cp = np.array([wireless.compute_delay(p) for p in profiles])
+    nominal_cycle = _nominal_cycle(tau_cp, distances, params)
     schedule = build_tiers(
-        profiles, distances, params, delta_t_s=cfg.delta_t_s, delta_t_frac=cfg.delta_t_frac
-    )
-    share = params.total_bandwidth / cfg.users
-    nominal_cycle = np.array(
-        [
-            wireless.compute_delay(profiles[u])
-            + wireless.comm_delay(
-                share,
-                wireless.path_loss(float(distances[u]), params.path_loss_exponent),
-                params,
-            )
-            for u in range(cfg.users)
-        ]
+        profiles,
+        distances,
+        params,
+        delta_t_s=cfg.delta_t_s,
+        delta_t_frac=cfg.delta_t_frac,
+        cycle=nominal_cycle,
     )
     return Scenario(
         config=cfg,
@@ -302,7 +306,7 @@ def setup_scenario(
         test_images=test.images,
         test_labels=test.labels,
         schedule=schedule,
-        tau_cp=np.array([wireless.compute_delay(p) for p in profiles]),
+        tau_cp=tau_cp,
         nominal_cycle=nominal_cycle,
         substituted_samples=sum(s.substituted for s in shards),
     )
@@ -322,290 +326,249 @@ def _train_user(sc: Scenario, u: int, w_src: np.ndarray, dispatch_idx: int) -> n
     )
 
 
-def _fading(sc: Scenario, u: int, round_idx: int) -> float:
-    return wireless.draw_fading(substream(sc.config.seed, TAG_CHANNEL, u, round_idx))
+def _fading(sc: Scenario, u: int, event_idx: int) -> float:
+    return wireless.draw_fading(substream(sc.config.seed, TAG_CHANNEL, u, event_idx))
 
 
-def run_ttfed(
-    cfg: ScenarioConfig,
-    scenario: Scenario | None = None,
-    trace: list[np.ndarray] | None = None,
-) -> RunMetrics:
-    """Fixed-interval loop: plan, draw outcomes and merge every delta_t."""
-    sc = scenario if scenario is not None else setup_scenario(cfg)
-    schedule, params = sc.schedule, sc.params
-    num_tiers = schedule.num_tiers
-    delta = schedule.delta_t
-    rounds = int(math.floor(sc.budget_s / delta + _TIME_EPS))
-    metrics = RunMetrics("ttfed", num_tiers, delta, schedule.round_time)
-    metrics.substituted_samples = sc.substituted_samples
-    stride = _eval_stride(rounds, cfg)
+def _clock(periods: dict, budget: float, grid: bool) -> Iterator[tuple[float, object, int]]:
+    """Events as (time, cohort key, the cohort's event index), in time order.
 
-    w = init_params(derive_seed(cfg.seed, TAG_INIT), sc.arch)
-    history: dict[int, np.ndarray] = {0: w}
-    acc, loss = evaluate(w, sc.test_images, sc.test_labels, sc.arch)
-    metrics.record(0.0, 0, acc, loss)
+    A grid has a single cohort and puts its k-th event at exactly
+    k * period. Otherwise each cohort fires every `periods[key]` seconds
+    on an accumulated clock, and simultaneous events go in key order.
+    """
+    if grid:
+        ((key, period),) = periods.items()
+        for k in range(1, int(math.floor(budget / period + _TIME_EPS)) + 1):
+            yield k * period, key, k
+        return
+    heap = [(period, key, 1) for key, period in periods.items()]
+    heapq.heapify(heap)
+    while heap and heap[0][0] <= budget + _TIME_EPS:
+        t, key, index = heapq.heappop(heap)
+        yield t, key, index
+        heapq.heappush(heap, (t + periods[key], key, index + 1))
 
-    equal_weight = cfg.policy == "equal_weight"
-    for k in range(1, rounds + 1):
-        metrics.downlink_broadcasts += 1  # dispatch to tiers with (k-1) % m == 0
-        weights = (
-            np.full(num_tiers, 1.0 / num_tiers) if equal_weight else ttfed_tier_weights(k, num_tiers)
-        )
-        due = schedule.due_tiers(k)
-        fading = {}
+
+class _Rule:
+    """What one algorithm adds to the event loop.
+
+    `periods` maps each cohort key to its cadence; `members` maps it to
+    its users in ascending id. A synchronous rule has a single cohort on
+    a grid clock (see `_clock`) and ends every event with one broadcast
+    to all users; otherwise the initial model goes out in one broadcast
+    and each event answers its cohort with unicasts.
+    """
+
+    synchronous = False
+
+    def __init__(self, sc: Scenario, w0: np.ndarray) -> None:
+        self.sc = sc
+        self.round_time = sc.schedule.round_time
+        self.zero_weight_uploads = 0
+        self.share = sc.params.total_bandwidth / sc.config.users
+        tiers = range(1, sc.schedule.num_tiers + 1)
+        self.tier_users = {m: sc.schedule.users_in(m) for m in tiers}
+
+    def cohort(self, key, index: int) -> list[int]:
+        """Users whose cycle ends at this event."""
+        return self.members[key]
+
+    def uploaders(
+        self, index: int, users: list[int], fading: dict[int, float]
+    ) -> dict[int, float]:
+        """Users that upload, ascending, mapped to their bandwidth."""
+        return dict.fromkeys(users, self.share)
+
+    def merge(self, key, index: int, w: np.ndarray, uploads: dict[int, Upload]) -> np.ndarray:
+        """The new global model from the current one and user -> upload."""
+        raise NotImplementedError
+
+
+class _TtFed(_Rule):
+    """Every delta_t the due tiers are planned for and merged under tier weights."""
+
+    synchronous = True
+
+    def __init__(self, sc: Scenario, w0: np.ndarray) -> None:
+        super().__init__(sc, w0)
+        self.periods = {None: sc.schedule.delta_t}
+
+    def cohort(self, key, k: int) -> list[int]:
+        """Users of the tiers due at round k; also fixes the round's tier weights."""
+        num_tiers = self.sc.schedule.num_tiers
+        if self.sc.config.policy == "equal_weight":
+            self.weights = np.full(num_tiers, 1.0 / num_tiers)
+        else:
+            self.weights = ttfed_tier_weights(k, num_tiers)
+        return [u for m in self.sc.schedule.due_tiers(k) for u in self.tier_users[m]]
+
+    def uploaders(self, k: int, users: list[int], fading: dict[int, float]) -> dict[int, float]:
+        sc, params = self.sc, self.sc.params
         qualified = []
-        for m in due:
-            for u in schedule.users_in(m):
-                fading[u] = _fading(sc, u, k)
-                gain = wireless.path_loss(float(sc.distances[u]), params.path_loss_exponent)
-                if cfg.scheduling_fading == "realization":
-                    gain *= fading[u]
-                q = allocator.qualify(
-                    user_id=u,
-                    tier=m,
-                    data_size=float(sc.data_sizes[u]),
-                    alpha=float(weights[m - 1]),
-                    slack=m * delta - float(sc.tau_cp[u]),
-                    gain_power=gain,
-                    distance=float(sc.distances[u]),
-                    params=params,
-                )
-                if q is not None:
-                    qualified.append(q)
-        if cfg.policy == "equal_bandwidth":
+        for u in users:
+            m = sc.schedule.tier_of[u]
+            gain = wireless.path_loss(float(sc.distances[u]), params.path_loss_exponent)
+            if sc.config.scheduling_fading == "realization":
+                gain *= fading[u]
+            q = allocator.qualify(
+                user_id=u,
+                tier=m,
+                data_size=float(sc.data_sizes[u]),
+                alpha=float(self.weights[m - 1]),
+                slack=m * sc.schedule.delta_t - float(sc.tau_cp[u]),
+                gain_power=gain,
+                distance=float(sc.distances[u]),
+                params=params,
+            )
+            if q is not None:
+                qualified.append(q)
+        if sc.config.policy == "equal_bandwidth":
             plan = allocator.equal_share_plan(qualified, params.total_bandwidth, params)
         else:
-            plan = allocator.select_users(qualified, params.total_bandwidth, cfg.greedy_skip)
+            plan = allocator.select_users(qualified, params.total_bandwidth, sc.config.greedy_skip)
+        return {u: plan.bandwidth[u] for u in plan.selected}
 
-        uploads: dict[int, list[tuple[float, np.ndarray]]] = {m: [] for m in due}
-        n_ok = n_fail = 0
-        for u in plan.selected:  # ascending user id
-            metrics.uplink_msgs += 1
-            ok = wireless.success_given_fading(
-                fading[u], plan.bandwidth[u], float(sc.distances[u]), params
-            )
-            if ok:
-                m = schedule.tier_of[u]
-                local = _train_user(sc, u, history[k - m], k - m)
-                uploads[m].append((float(sc.data_sizes[u]), local))
-                n_ok += 1
-            else:
-                n_fail += 1
-        metrics.success_total += n_ok
-        metrics.failed_total += n_fail
-        metrics.round_success.append(n_ok)
-        metrics.round_failed.append(n_fail)
-
-        intra = {m: ttfed_intra_tier(lst) for m, lst in uploads.items() if lst}
-        for m in due:
-            if weights[m - 1] == 0.0 and uploads[m]:
-                metrics.zero_weight_uploads += len(uploads[m])
-        w = ttfed_global(k, num_tiers, intra, w_prev=w, weights=weights)
-        history[k] = w
-        for old in [r for r in history if r < k + 1 - num_tiers]:
-            del history[old]
-        if trace is not None:
-            trace.append(w.copy())
-        if k % stride == 0 or k == rounds:
-            acc, loss = evaluate(w, sc.test_images, sc.test_labels, sc.arch)
-            metrics.record(k * delta, k, acc, loss)
-    return metrics
+    def merge(self, key, k, w, uploads):
+        by_tier: dict[int, list[Upload]] = {}
+        for u, upload in uploads.items():
+            by_tier.setdefault(self.sc.schedule.tier_of[u], []).append(upload)
+        for m, lst in by_tier.items():
+            if self.weights[m - 1] == 0.0:
+                self.zero_weight_uploads += len(lst)
+        intra = {m: ttfed_intra_tier(lst) for m, lst in by_tier.items()}
+        return ttfed_global(k, self.sc.schedule.num_tiers, intra, w_prev=w, weights=self.weights)
 
 
-def run_fedavg(
+class _FedAvg(_Rule):
+    """Synchronous rounds: all users, every slowest nominal cycle."""
+
+    synchronous = True
+
+    def __init__(self, sc: Scenario, w0: np.ndarray) -> None:
+        super().__init__(sc, w0)
+        self.round_time = float(sc.nominal_cycle.max())
+        self.periods = {None: self.round_time}
+        self.members = {None: list(range(sc.config.users))}
+
+    def merge(self, key, index, w, uploads):
+        return fedavg_aggregate(list(uploads.values())) if uploads else w
+
+
+class _FedAsync(_Rule):
+    """One cohort per user: each arrival mixes straight into the global model."""
+
+    def __init__(self, sc: Scenario, w0: np.ndarray) -> None:
+        super().__init__(sc, w0)
+        self.periods = {u: float(t) for u, t in enumerate(sc.nominal_cycle)}
+        self.members = {u: [u] for u in self.periods}
+
+    def merge(self, key, index, w, uploads):
+        for _, local in uploads.values():
+            w = fedasync_aggregate(w, local, self.sc.config.psi)
+        return w
+
+
+class _FedAt(_Rule):
+    """One cohort per populated tier: synchronous inside it, asynchronous merges.
+
+    The server holds one model per tier plus the global one. Tier weights
+    swap the cumulative merge counts (the busiest tier's count goes to the
+    slowest tier).
+    """
+
+    def __init__(self, sc: Scenario, w0: np.ndarray) -> None:
+        super().__init__(sc, w0)
+        self.members = {m: users for m, users in self.tier_users.items() if users}
+        self.periods = {
+            m: max(float(sc.nominal_cycle[u]) for u in users) for m, users in self.members.items()
+        }
+        self.tier_models = dict.fromkeys(self.members, w0)
+        self.counts = dict.fromkeys(self.members, 0)
+
+    def merge(self, m, index, w, uploads):
+        if uploads:
+            self.tier_models[m] = fedavg_aggregate(list(uploads.values()))
+        self.counts[m] += 1
+        total = sum(self.counts.values())
+        swapped = reversed(list(self.counts.values()))
+        return fedat_aggregate(list(self.tier_models.values()), [c / total for c in swapped])
+
+
+_RULES = {"ttfed": _TtFed, "fedavg": _FedAvg, "fedasync": _FedAsync, "fedat": _FedAt}
+
+
+def run(
     cfg: ScenarioConfig,
     scenario: Scenario | None = None,
     trace: list[np.ndarray] | None = None,
 ) -> RunMetrics:
-    """Synchronous loop: every round waits for the slowest user."""
-    sc = scenario if scenario is not None else setup_scenario(cfg)
-    params = sc.params
-    share = params.total_bandwidth / cfg.users
-    round_len = float(sc.nominal_cycle.max())
-    rounds = int(math.floor(sc.budget_s / round_len + _TIME_EPS))
-    metrics = RunMetrics("fedavg", sc.schedule.num_tiers, sc.schedule.delta_t, round_len)
-    metrics.substituted_samples = sc.substituted_samples
-    stride = _eval_stride(rounds, cfg)
-
-    w = init_params(derive_seed(cfg.seed, TAG_INIT), sc.arch)
-    acc, loss = evaluate(w, sc.test_images, sc.test_labels, sc.arch)
-    metrics.record(0.0, 0, acc, loss)
-
-    for j in range(1, rounds + 1):
-        metrics.downlink_broadcasts += 1
-        uploads = []
-        n_ok = n_fail = 0
-        for u in range(cfg.users):
-            metrics.uplink_msgs += 1
-            ok = wireless.success_given_fading(
-                _fading(sc, u, j), share, float(sc.distances[u]), params
-            )
-            if ok:
-                local = _train_user(sc, u, w, j - 1)
-                uploads.append((float(sc.data_sizes[u]), local))
-                n_ok += 1
-            else:
-                n_fail += 1
-        metrics.success_total += n_ok
-        metrics.failed_total += n_fail
-        metrics.round_success.append(n_ok)
-        metrics.round_failed.append(n_fail)
-        if uploads:
-            w = fedavg_aggregate(uploads)
-        if trace is not None:
-            trace.append(w.copy())
-        if j % stride == 0 or j == rounds:
-            acc, loss = evaluate(w, sc.test_images, sc.test_labels, sc.arch)
-            metrics.record(j * round_len, j, acc, loss)
-    return metrics
-
-
-def run_fedasync(cfg: ScenarioConfig, scenario: Scenario | None = None) -> RunMetrics:
-    """Per-arrival loop: each upload mixes straight into the global model."""
-    sc = scenario if scenario is not None else setup_scenario(cfg)
-    params = sc.params
-    share = params.total_bandwidth / cfg.users
-    budget = sc.budget_s
-    cycle = sc.nominal_cycle
-    expected = int(sum(math.floor(budget / t + _TIME_EPS) for t in cycle))
-    metrics = RunMetrics("fedasync", sc.schedule.num_tiers, sc.schedule.delta_t, sc.schedule.round_time)
-    metrics.substituted_samples = sc.substituted_samples
-    stride = _eval_stride(expected, cfg)
-
-    w = init_params(derive_seed(cfg.seed, TAG_INIT), sc.arch)
-    acc, loss = evaluate(w, sc.test_images, sc.test_labels, sc.arch)
-    metrics.record(0.0, 0, acc, loss)
-    metrics.downlink_broadcasts += 1  # initial model distribution
-
-    dispatched = [w] * cfg.users
-    heap = [(float(cycle[u]), u, 1) for u in range(cfg.users)]
-    heapq.heapify(heap)
-    arrivals = 0
-    last_time = 0.0
-    recorded_at = 0
-    while heap and heap[0][0] <= budget + _TIME_EPS:
-        t, u, c = heapq.heappop(heap)
-        arrivals += 1
-        last_time = t
-        metrics.uplink_msgs += 1
-        ok = wireless.success_given_fading(
-            _fading(sc, u, c), share, float(sc.distances[u]), params
-        )
-        if ok:
-            local = _train_user(sc, u, dispatched[u], c - 1)
-            w = fedasync_aggregate(w, local, cfg.psi)
-            metrics.success_total += 1
-            metrics.round_success.append(1)
-            metrics.round_failed.append(0)
-        else:
-            metrics.failed_total += 1
-            metrics.round_success.append(0)
-            metrics.round_failed.append(1)
-        metrics.downlink_unicasts += 1  # server answers with the current global
-        dispatched[u] = w
-        heapq.heappush(heap, (t + float(cycle[u]), u, c + 1))
-        if arrivals % stride == 0:
-            acc, loss = evaluate(w, sc.test_images, sc.test_labels, sc.arch)
-            metrics.record(t, arrivals, acc, loss)
-            recorded_at = arrivals
-    if arrivals and recorded_at != arrivals:
-        acc, loss = evaluate(w, sc.test_images, sc.test_labels, sc.arch)
-        metrics.record(last_time, arrivals, acc, loss)
-    return metrics
-
-
-def run_fedat(cfg: ScenarioConfig, scenario: Scenario | None = None) -> RunMetrics:
-    """Tiered loop: synchronous rounds inside each tier, async global merges.
-
-    The server holds one model per tier plus the global one. Tier weights
-    swap the cumulative update counts (the busiest tier's count goes to
-    the slowest tier), restricted to tiers that actually have users.
-    """
-    sc = scenario if scenario is not None else setup_scenario(cfg)
-    params = sc.params
-    schedule = sc.schedule
-    share = params.total_bandwidth / cfg.users
-    budget = sc.budget_s
-    active = [m for m in range(1, schedule.num_tiers + 1) if schedule.users_in(m)]
-    tier_users = {m: schedule.users_in(m) for m in active}
-    tier_len = {m: max(float(sc.nominal_cycle[u]) for u in tier_users[m]) for m in active}
-    expected = int(sum(math.floor(budget / tier_len[m] + _TIME_EPS) for m in active))
-    metrics = RunMetrics("fedat", schedule.num_tiers, schedule.delta_t, schedule.round_time)
-    metrics.substituted_samples = sc.substituted_samples
-    stride = _eval_stride(expected, cfg)
-
-    w0 = init_params(derive_seed(cfg.seed, TAG_INIT), sc.arch)
-    w = w0
-    acc, loss = evaluate(w, sc.test_images, sc.test_labels, sc.arch)
-    metrics.record(0.0, 0, acc, loss)
-    metrics.downlink_broadcasts += 1  # initial model distribution
-
-    tier_models = {m: w0 for m in active}
-    dispatched = {m: w0 for m in active}
-    counts = {m: 0 for m in active}
-    heap = [(tier_len[m], m, 1) for m in active]
-    heapq.heapify(heap)
-    merges = 0
-    last_time = 0.0
-    recorded_at = 0
-    while heap and heap[0][0] <= budget + _TIME_EPS:
-        t, m, c = heapq.heappop(heap)
-        merges += 1
-        last_time = t
-        uploads = []
-        n_ok = n_fail = 0
-        for u in tier_users[m]:
-            metrics.uplink_msgs += 1
-            ok = wireless.success_given_fading(
-                _fading(sc, u, c), share, float(sc.distances[u]), params
-            )
-            if ok:
-                local = _train_user(sc, u, dispatched[m], c - 1)
-                uploads.append((float(sc.data_sizes[u]), local))
-                n_ok += 1
-            else:
-                n_fail += 1
-        metrics.success_total += n_ok
-        metrics.failed_total += n_fail
-        metrics.round_success.append(n_ok)
-        metrics.round_failed.append(n_fail)
-        if uploads:
-            tier_models[m] = fedavg_aggregate(uploads)
-        counts[m] += 1
-        total = sum(counts.values())
-        weights = [counts[active[len(active) - 1 - i]] / total for i in range(len(active))]
-        w = fedat_aggregate([tier_models[m2] for m2 in active], weights)
-        dispatched[m] = w
-        metrics.downlink_unicasts += len(tier_users[m])
-        heapq.heappush(heap, (t + tier_len[m], m, c + 1))
-        if merges % stride == 0:
-            acc, loss = evaluate(w, sc.test_images, sc.test_labels, sc.arch)
-            metrics.record(t, merges, acc, loss)
-            recorded_at = merges
-    if merges and recorded_at != merges:
-        acc, loss = evaluate(w, sc.test_images, sc.test_labels, sc.arch)
-        metrics.record(last_time, merges, acc, loss)
-    return metrics
-
-
-_RUNNERS = {
-    "ttfed": run_ttfed,
-    "fedavg": run_fedavg,
-    "fedasync": run_fedasync,
-    "fedat": run_fedat,
-}
-
-
-def run(cfg: ScenarioConfig, scenario: Scenario | None = None) -> RunMetrics:
-    """Dispatch to the configured algorithm's loop.
+    """Run the configured algorithm through the cohort-event loop.
 
     A pre-built scenario may be shared across algorithms for a fair
     comparison, but must come from a config identical in everything
-    except the algorithm field.
+    except the algorithm field. With `trace`, the global model after
+    every event is appended to it.
     """
     try:
-        runner = _RUNNERS[cfg.algorithm]
+        rule_type = _RULES[cfg.algorithm]
     except KeyError:
         raise ValueError(f"unknown algorithm {cfg.algorithm!r}") from None
-    return runner(cfg, scenario)
+    if scenario is None:
+        sc = setup_scenario(cfg)
+    else:
+        sc = scenario
+        differ = [
+            f.name
+            for f in fields(cfg)
+            if f.name != "algorithm" and getattr(cfg, f.name) != getattr(sc.config, f.name)
+        ]
+        if differ:
+            raise ValueError(f"scenario was built from a different config: {', '.join(differ)}")
+
+    w = init_params(derive_seed(cfg.seed, TAG_INIT), sc.arch)
+    rule = rule_type(sc, w)
+    schedule = sc.schedule
+    metrics = RunMetrics(cfg.algorithm, schedule.num_tiers, schedule.delta_t, rule.round_time)
+    metrics.substituted_samples = sc.substituted_samples
+    budget = sc.budget_s
+    stride = _eval_stride(
+        sum(math.floor(budget / period + _TIME_EPS) for period in rule.periods.values()), cfg
+    )
+    acc, loss = evaluate(w, sc.test_images, sc.test_labels, sc.arch)
+    metrics.record(0.0, 0, acc, loss)
+    if not rule.synchronous:
+        metrics.downlink_broadcasts += 1  # initial model distribution
+
+    sent = dict.fromkeys(range(cfg.users), (w, 0))  # user -> (model, dispatch index)
+    events = 0
+    for t, key, index in _clock(rule.periods, budget, rule.synchronous):
+        events += 1
+        users = rule.cohort(key, index)
+        fading = {u: _fading(sc, u, index) for u in users}
+        uploads: dict[int, Upload] = {}
+        for u, bandwidth in rule.uploaders(index, users, fading).items():
+            metrics.uplink_msgs += 1
+            distance = float(sc.distances[u])
+            if wireless.success_given_fading(fading[u], bandwidth, distance, sc.params):
+                uploads[u] = (float(sc.data_sizes[u]), _train_user(sc, u, *sent[u]))
+            else:
+                metrics.failed_total += 1
+        metrics.success_total += len(uploads)
+        w = rule.merge(key, index, w, uploads)
+        if rule.synchronous:
+            metrics.downlink_broadcasts += 1
+        else:
+            metrics.downlink_unicasts += len(users)
+        for u in users:
+            sent[u] = (w, index)
+        if trace is not None:
+            trace.append(w.copy())
+        if events % stride == 0:
+            acc, loss = evaluate(w, sc.test_images, sc.test_labels, sc.arch)
+            metrics.record(t, events, acc, loss)
+    if events % stride != 0:
+        acc, loss = evaluate(w, sc.test_images, sc.test_labels, sc.arch)
+        metrics.record(t, events, acc, loss)
+    metrics.zero_weight_uploads = rule.zero_weight_uploads
+    return metrics

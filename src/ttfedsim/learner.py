@@ -1,21 +1,17 @@
 """Local model: one-hidden-layer sigmoid MLP with softmax cross-entropy.
 
 Parameters live in a single flat float64 vector laid out as
-[W1 row-major, b1, W2 row-major, b2] so that uploading, aggregating and
-checkpointing never need to know the layer structure. All functions here
-are pure; batch order inside an update is fixed by the caller's stream,
-making results bit-stable.
+[W1 row-major, b1, W2 row-major, b2] so that uploading and aggregating
+never need to know the layer structure. All functions here are pure;
+batch order inside an update is fixed by the caller's stream, making
+results bit-stable.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
-
-_CKPT_MAGIC = b"FNN1"
-
 
 @dataclass(frozen=True)
 class MlpArch:
@@ -157,28 +153,3 @@ def evaluate(
     loss = -float(log_probs[np.arange(n), labels].mean())
     accuracy = float((probs.argmax(axis=1) == labels).mean())
     return accuracy, loss
-
-
-def save_params(path: str, w: np.ndarray, arch: MlpArch) -> None:
-    """Checkpoint: magic, u32 LE dims (in, hidden, out), f64 LE payload."""
-    if w.shape != (arch.param_count,):
-        raise ValueError("parameter vector does not match the architecture")
-    with open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<III", arch.in_dim, arch.hidden, arch.out_dim))
-        fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-
-
-def load_params(path: str) -> tuple[np.ndarray, MlpArch]:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < 16 or data[:4] != _CKPT_MAGIC:
-        raise ValueError(f"{path} is not a parameter checkpoint")
-    in_dim, hidden, out_dim = struct.unpack("<III", data[4:16])
-    arch = MlpArch(in_dim=in_dim, hidden=hidden, out_dim=out_dim)
-    w = np.frombuffer(data[16:], dtype="<f8").astype(np.float64)
-    if len(w) != arch.param_count:
-        raise ValueError(
-            f"{path} payload has {len(w)} values, header promises {arch.param_count}"
-        )
-    return w, arch

@@ -120,13 +120,6 @@ def success_given_fading(
     return fading >= fading_threshold(bandwidth, distance, params)
 
 
-def draw_success(
-    bandwidth: float, distance: float, params: ChannelParams, rng: np.random.Generator
-) -> bool:
-    """Draw a fading realization and test it against the decoding threshold."""
-    return success_given_fading(draw_fading(rng), bandwidth, distance, params)
-
-
 def compute_delay(profile: ComputeProfile) -> float:
     """Seconds for one local-update pass: epochs*cycles/sample*samples/freq."""
     return profile.local_epochs * profile.cycles_per_sample * profile.dataset_size / profile.cpu_freq

@@ -27,7 +27,7 @@ from ttfedsim.bound import (
     delta2,
 )
 from ttfedsim.config import ScenarioConfig
-from ttfedsim.engine import count_comm, run, run_fedavg, run_ttfed, setup_scenario
+from ttfedsim.engine import count_comm, run, setup_scenario
 from ttfedsim.learner import MlpArch, init_params, loss_and_gradient
 from ttfedsim.numerics import bisect_root, lambert_w_minus1
 from ttfedsim.wireless import ChannelParams, comm_delay, fading_threshold, path_loss, stp
@@ -167,8 +167,8 @@ def test_05_single_tier_reduces_to_sync():
         assert sc.schedule.num_tiers == 1
         trace_tt: list[np.ndarray] = []
         trace_fa: list[np.ndarray] = []
-        m_tt = run_ttfed(cfg, sc, trace=trace_tt)
-        m_fa = run_fedavg(replace(cfg, algorithm="fedavg"), sc, trace=trace_fa)
+        m_tt = run(cfg, sc, trace=trace_tt)
+        m_fa = run(replace(cfg, algorithm="fedavg"), sc, trace=trace_fa)
         assert m_tt.failed_total == 0 and m_fa.failed_total == 0
         assert len(trace_tt) == len(trace_fa) == 20
         for w_tt, w_fa in zip(trace_tt, trace_fa):

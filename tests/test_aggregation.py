@@ -266,7 +266,6 @@ class TestTierSchedule:
         sched = TierSchedule(
             num_tiers=2,
             tier_of={0: 1, 1: 2, 2: 1},
-            data_per_tier={1: 200.0, 2: 100.0},
             delta_t=0.5,
             round_time=1.0,
         )
@@ -278,8 +277,8 @@ class TestTierSchedule:
 
     def test_validation(self):
         with pytest.raises(ValueError, match="num_tiers"):
-            TierSchedule(0, {}, {}, 0.5, 1.0)
+            TierSchedule(0, {}, 0.5, 1.0)
         with pytest.raises(ValueError, match="delta_t"):
-            TierSchedule(1, {}, {}, 0.0, 1.0)
+            TierSchedule(1, {}, 0.0, 1.0)
         with pytest.raises(ValueError, match="assignments"):
-            TierSchedule(2, {0: 3}, {}, 0.5, 1.0)
+            TierSchedule(2, {0: 3}, 0.5, 1.0)

@@ -1,10 +1,17 @@
 """Flat config file parsing, validation, and round-tripping."""
 
 import math
+import re
+from pathlib import Path
 
 import pytest
 
 from ttfedsim.config import (
+    _KEYS,
+    ALGORITHMS,
+    DATA_SOURCES,
+    FADING_MODES,
+    POLICIES,
     ConfigError,
     ScenarioConfig,
     apply_overrides,
@@ -145,3 +152,38 @@ class TestWithUpdates:
         assert cfg.users == 5
         with pytest.raises(ConfigError):
             with_updates(ScenarioConfig(), users=0)
+
+
+def readme_key_table() -> dict[str, tuple[str, str]]:
+    """README configuration table: key -> (documented default, meaning)."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `([a-z_]+\.[a-z_]+)` \| (.*?) \| (.*?) \|$", text, re.MULTILINE)
+    return {key: (default, meaning) for key, default, meaning in rows}
+
+
+class TestReadmeKeyTable:
+    def test_documents_exactly_the_config_keys(self):
+        assert sorted(readme_key_table()) == sorted(_KEYS)
+
+    @pytest.mark.parametrize(
+        "key,values",
+        [
+            ("sim.algorithm", ALGORITHMS),
+            ("sim.policy", POLICIES),
+            ("sim.scheduling_fading", FADING_MODES),
+            ("data.source", DATA_SOURCES),
+        ],
+    )
+    def test_enumerated_values(self, key, values):
+        meaning = readme_key_table()[key][1]
+        assert sorted(re.findall(r"`([^`]+)`", meaning)) == sorted(values)
+
+    def test_documented_defaults(self):
+        defaults = ScenarioConfig()
+        for key, (default, _) in readme_key_table().items():
+            attr, parser = _KEYS[key]
+            actual = getattr(defaults, attr)
+            if default == "unset":
+                assert actual in (None, ""), key
+            else:
+                assert parser(default.strip("`")) == actual, key

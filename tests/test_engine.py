@@ -17,10 +17,6 @@ from ttfedsim.engine import (
     count_comm,
     place_users,
     run,
-    run_fedasync,
-    run_fedat,
-    run_fedavg,
-    run_ttfed,
     setup_scenario,
 )
 from ttfedsim.learner import evaluate, init_params
@@ -122,7 +118,6 @@ class TestBuildTiers:
         )
         assert sched.num_tiers == 2
         assert sched.tier_of == {0: 1, 1: 2}
-        assert sched.data_per_tier == {1: 2000.0, 2: 4000.0}
         assert sched.round_time == 2.0
         assert sched.delta_t == 1.0
 
@@ -184,6 +179,10 @@ class TestSetupScenario:
             )
             assert sc.nominal_cycle[u] == expected
         assert sc.schedule.round_time == sc.nominal_cycle.max()
+        # the tiers built from the precomputed cycle match a fresh computation
+        assert sc.schedule == build_tiers(
+            sc.profiles, sc.distances, sc.params, delta_t_frac=BASE.delta_t_frac
+        )
 
     def test_budget_semantics(self):
         sc = setup_scenario(BASE)
@@ -207,13 +206,13 @@ class TestSetupScenario:
 
 class TestTtfedLoop:
     def test_zero_rounds_only_initial_eval(self):
-        metrics = run_ttfed(toy_config(rounds=0))
+        metrics = run(toy_config(rounds=0))
         assert len(metrics.evals) == 1
         assert metrics.evals[0].time_s == 0.0
         assert metrics.uplink_msgs == 0
 
     def test_aggregation_times_are_grid_points(self):
-        metrics = run_ttfed(BASE)
+        metrics = run(BASE)
         delta = metrics.delta_t
         assert [p.time_s for p in metrics.evals] == [k * delta for k in range(7)]
         assert [p.round for p in metrics.evals] == list(range(7))
@@ -223,7 +222,7 @@ class TestTtfedLoop:
         # tier 1 is due and its weight is 0 anyway, so w stays put
         cfg = toy_config(delta_t_frac=0.6)
         trace: list[np.ndarray] = []
-        metrics = run_ttfed(cfg, trace=trace)
+        metrics = run(cfg, trace=trace)
         assert metrics.num_tiers == 2
         sc = setup_scenario(cfg)
         w0 = init_params(derive_seed(cfg.seed, TAG_INIT), sc.arch)
@@ -233,7 +232,7 @@ class TestTtfedLoop:
         cfg = toy_config(delta_t_frac=0.6)
         sc = setup_scenario(cfg)
         trace: list[np.ndarray] = []
-        metrics = run_ttfed(cfg, scenario=sc, trace=trace)
+        metrics = run(cfg, scenario=sc, trace=trace)
         assert metrics.failed_total == 0  # 50 m radius: links basically never drop
         w0 = init_params(derive_seed(cfg.seed, TAG_INIT), sc.arch)
         uploads = [
@@ -249,16 +248,12 @@ class TestTtfedLoop:
         sched = TierSchedule(
             num_tiers=2,
             tier_of={0: 1, 1: 2},
-            data_per_tier={
-                1: float(sc.data_sizes[0]),
-                2: float(sc.data_sizes[1]),
-            },
             delta_t=1.0,
             round_time=2.0,
         )
         sc2 = replace(sc, config=cfg, schedule=sched)
         trace: list[np.ndarray] = []
-        metrics = run_ttfed(cfg, scenario=sc2, trace=trace)
+        metrics = run(cfg, scenario=sc2, trace=trace)
         # k=1: tier 1 uploads under weight 0 -> flagged, model unchanged
         assert metrics.zero_weight_uploads >= 1
         w0 = init_params(derive_seed(cfg.seed, TAG_INIT), sc.arch)
@@ -268,8 +263,8 @@ class TestTtfedLoop:
         cfg = toy_config(delta_t_frac=1.0)
         trace_tt: list[np.ndarray] = []
         trace_avg: list[np.ndarray] = []
-        mt = run_ttfed(cfg, trace=trace_tt)
-        ma = run_fedavg(with_updates(cfg, algorithm="fedavg"), trace=trace_avg)
+        mt = run(cfg, trace=trace_tt)
+        ma = run(with_updates(cfg, algorithm="fedavg"), trace=trace_avg)
         assert mt.num_tiers == 1
         assert mt.failed_total == 0 and ma.failed_total == 0
         assert len(trace_tt) == len(trace_avg) == 6
@@ -278,7 +273,7 @@ class TestTtfedLoop:
         assert [p.accuracy for p in mt.evals] == [p.accuracy for p in ma.evals]
 
     def test_counters_monotone(self):
-        metrics = run_ttfed(BASE)
+        metrics = run(BASE)
         ups = [p.uplink_msgs for p in metrics.evals]
         bcs = [p.downlink_broadcasts for p in metrics.evals]
         assert ups == sorted(ups)
@@ -287,8 +282,8 @@ class TestTtfedLoop:
         assert metrics.downlink_unicasts == 0
 
     def test_deterministic_metrics(self):
-        a = run_ttfed(BASE)
-        b = run_ttfed(BASE)
+        a = run(BASE)
+        b = run(BASE)
         assert a == b
 
 
@@ -296,7 +291,7 @@ class TestFedavgLoop:
     def test_round_length_is_straggler_time(self):
         cfg = toy_config(algorithm="fedavg")
         sc = setup_scenario(cfg)
-        metrics = run_fedavg(cfg, scenario=sc)
+        metrics = run(cfg, scenario=sc)
         straggler = float(sc.nominal_cycle.max())
         assert metrics.round_time == straggler
         assert [p.time_s for p in metrics.evals] == [
@@ -307,14 +302,14 @@ class TestFedavgLoop:
         cfg = toy_config(algorithm="fedavg", rounds=3)
         sc = setup_scenario(cfg)
         rounds = int(sc.budget_s / sc.nominal_cycle.max())
-        metrics = run_fedavg(cfg, scenario=sc)
+        metrics = run(cfg, scenario=sc)
         assert metrics.uplink_msgs == rounds * 4
         assert metrics.downlink_broadcasts == rounds
         assert metrics.downlink_unicasts == 0
 
     def test_deterministic(self):
         cfg = toy_config(algorithm="fedavg")
-        assert run_fedavg(cfg) == run_fedavg(cfg)
+        assert run(cfg) == run(cfg)
 
 
 class TestFedasyncLoop:
@@ -323,7 +318,7 @@ class TestFedasyncLoop:
         sc = setup_scenario(cfg)
         cfg = with_updates(cfg, time_budget_s=4.0 * float(sc.nominal_cycle[0]))
         sc = setup_scenario(cfg)
-        metrics = run_fedasync(cfg, scenario=sc)
+        metrics = run(cfg, scenario=sc)
         assert metrics.failed_total == 0
         w = init_params(derive_seed(cfg.seed, TAG_INIT), sc.arch)
         dispatched = w
@@ -339,7 +334,7 @@ class TestFedasyncLoop:
         cfg = toy_config(users=2, algorithm="fedasync", time_budget_s=3.0)
         sc = setup_scenario(cfg)
         sc2 = replace(sc, config=cfg, nominal_cycle=np.array([1.0, 1.0]))
-        metrics = run_fedasync(cfg, scenario=sc2)
+        metrics = run(cfg, scenario=sc2)
         assert metrics.failed_total == 0
         assert [p.time_s for p in metrics.evals] == [0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0]
         # reconstruct the first coincident pair: user 0 mixes before user 1
@@ -352,13 +347,13 @@ class TestFedasyncLoop:
 
     def test_unicast_per_arrival(self):
         cfg = toy_config(algorithm="fedasync")
-        metrics = run_fedasync(cfg)
+        metrics = run(cfg)
         assert metrics.downlink_unicasts == metrics.uplink_msgs
         assert metrics.downlink_broadcasts == 1  # the initial distribution
 
     def test_deterministic(self):
         cfg = toy_config(algorithm="fedasync")
-        assert run_fedasync(cfg) == run_fedasync(cfg)
+        assert run(cfg) == run(cfg)
 
 
 class TestFedatLoop:
@@ -368,18 +363,17 @@ class TestFedatLoop:
         sched = TierSchedule(
             num_tiers=2,
             tier_of={0: 1, 1: 2},
-            data_per_tier={1: float(sc.data_sizes[0]), 2: float(sc.data_sizes[1])},
             delta_t=1.0,
             round_time=2.0,
         )
         sc2 = replace(sc, config=cfg, schedule=sched, nominal_cycle=np.array([1.0, 2.0]))
-        metrics = run_fedat(cfg, scenario=sc2)
+        metrics = run(cfg, scenario=sc2)
         assert [p.time_s for p in metrics.evals] == [0.0, 1.0, 2.0, 2.0, 3.0, 4.0, 4.0]
 
     def test_single_tier_matches_sync_baseline(self):
         cfg = toy_config(algorithm="fedat", delta_t_frac=1.0)
-        mt = run_fedat(cfg)
-        ma = run_fedavg(with_updates(cfg, algorithm="fedavg"))
+        mt = run(cfg)
+        ma = run(with_updates(cfg, algorithm="fedavg"))
         assert mt.num_tiers == 1
         assert [p.accuracy for p in mt.evals] == [p.accuracy for p in ma.evals]
         assert [p.loss for p in mt.evals] == [p.loss for p in ma.evals]
@@ -389,13 +383,13 @@ class TestFedatLoop:
 
     def test_unicasts_follow_tier_size(self):
         cfg = toy_config(algorithm="fedat", delta_t_frac=1.0, rounds=3)
-        metrics = run_fedat(cfg)
+        metrics = run(cfg)
         # one tier of 4 users: every merge redispatches the whole tier
         assert metrics.downlink_unicasts == 4 * (len(metrics.evals) - 1)
 
     def test_deterministic(self):
         cfg = toy_config(algorithm="fedat")
-        assert run_fedat(cfg) == run_fedat(cfg)
+        assert run(cfg) == run(cfg)
 
 
 class TestRunDispatch:
@@ -408,6 +402,23 @@ class TestRunDispatch:
         cfg = replace(BASE, algorithm="sgd")
         with pytest.raises(ValueError, match="sgd"):
             run(cfg)
+
+    def test_shared_scenario_may_differ_only_in_algorithm(self):
+        sc = setup_scenario(BASE)
+        assert run(toy_config(algorithm="fedat"), scenario=sc).algorithm == "fedat"
+        with pytest.raises(ValueError, match="seed, rounds"):
+            run(toy_config(seed=8, rounds=3), scenario=sc)
+
+    @pytest.mark.parametrize("name", ["ttfed", "fedavg", "fedasync", "fedat"])
+    def test_trace_holds_the_model_after_every_event(self, name):
+        cfg = toy_config(algorithm=name, rounds=3)
+        sc = setup_scenario(cfg)
+        trace: list[np.ndarray] = []
+        metrics = run(cfg, scenario=sc, trace=trace)
+        last = metrics.evals[-1]
+        assert len(trace) == last.round > 0
+        acc, loss = evaluate(trace[-1], sc.test_images, sc.test_labels, sc.arch)
+        assert (acc, loss) == (last.accuracy, last.loss)
 
 
 class TestCountComm:
@@ -424,7 +435,7 @@ class TestCountComm:
 
     def test_fedavg_round_cost(self):
         cfg = toy_config(algorithm="fedavg", rounds=3)
-        metrics = run_fedavg(cfg)
+        metrics = run(cfg)
         point = metrics.evals[-1]
         rounds = point.round
         assert point.uplink_msgs + point.downlink_broadcasts == rounds * (4 + 1)
@@ -465,9 +476,9 @@ class TestSuccessFrequency:
         )
         p = wireless.stp(q.bandwidth, float(sc.distances[0]), sc.params)
         assert 0.05 < p < 0.95  # the check below needs a non-degenerate rate
-        metrics = run_ttfed(cfg, scenario=sc)
-        n = len(metrics.round_success)
-        assert n == 1500
+        metrics = run(cfg, scenario=sc)
+        n = 1500
+        assert metrics.uplink_msgs == n
         ok = metrics.success_total
         fail = metrics.failed_total
         assert ok + fail == n

@@ -1,4 +1,4 @@
-"""One-hidden-layer MLP: gradients, SGD updates, evaluation, checkpoints."""
+"""One-hidden-layer MLP: gradients, SGD updates, evaluation."""
 
 import math
 
@@ -11,10 +11,8 @@ from ttfedsim.learner import (
     class_probabilities,
     evaluate,
     init_params,
-    load_params,
     local_update,
     loss_and_gradient,
-    save_params,
 )
 
 ARCH = MlpArch()
@@ -234,36 +232,3 @@ class TestEvaluate:
     def test_empty_set(self):
         with pytest.raises(ValueError):
             evaluate(init_params(0), np.zeros((0, 784)), np.zeros(0, dtype=int))
-
-
-class TestCheckpoint:
-    def test_round_trip_bitwise(self, tmp_path):
-        arch = MlpArch(in_dim=12, hidden=5, out_dim=10)
-        rng = np.random.default_rng(12)
-        w = rng.standard_normal(arch.param_count)
-        path = str(tmp_path / "model.bin")
-        save_params(path, w, arch)
-        w2, arch2 = load_params(path)
-        assert arch2 == arch
-        assert np.array_equal(w2, w)
-        assert w2.tobytes() == w.tobytes()
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"NOPE" + bytes(64))
-        with pytest.raises(ValueError, match="checkpoint"):
-            load_params(str(path))
-
-    def test_truncated_payload(self, tmp_path):
-        arch = MlpArch(in_dim=12, hidden=5, out_dim=10)
-        path = str(tmp_path / "model.bin")
-        save_params(path, np.zeros(arch.param_count), arch)
-        data = open(path, "rb").read()
-        with open(path, "wb") as fh:
-            fh.write(data[:-8])
-        with pytest.raises(ValueError, match="payload"):
-            load_params(path)
-
-    def test_wrong_length_save(self, tmp_path):
-        with pytest.raises(ValueError):
-            save_params(str(tmp_path / "m.bin"), np.zeros(3), MlpArch())

@@ -11,7 +11,7 @@ from ttfedsim.wireless import (
     achievable_rate,
     comm_delay,
     compute_delay,
-    draw_success,
+    draw_fading,
     fading_threshold,
     path_loss,
     stp,
@@ -158,7 +158,9 @@ class TestSuccessProbability:
         for i, (b, d) in enumerate(points):
             p = stp(b, d, radio)
             rng = np.random.default_rng(500 + i)
-            hits = sum(draw_success(b, d, radio, rng) for _ in range(n))
+            hits = sum(
+                success_given_fading(draw_fading(rng), b, d, radio) for _ in range(n)
+            )
             se = math.sqrt(max(p * (1.0 - p), 1e-12) / n)
             assert abs(hits / n - p) <= 3.0 * se + 1e-9
 
@@ -172,11 +174,15 @@ class TestSuccessProbability:
             model_bits=radio.model_bits,
         )
         rng = np.random.default_rng(3)
-        assert not any(draw_success(1e6, 100.0, hostile, rng) for _ in range(200))
+        assert not any(
+            success_given_fading(draw_fading(rng), 1e6, 100.0, hostile) for _ in range(200)
+        )
 
     def test_zero_bandwidth_draw_always_succeeds(self, radio):
         rng = np.random.default_rng(4)
-        assert all(draw_success(0.0, 600.0, radio, rng) for _ in range(200))
+        assert all(
+            success_given_fading(draw_fading(rng), 0.0, 600.0, radio) for _ in range(200)
+        )
 
 
 class TestComputeDelay:
