@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -56,24 +56,31 @@ class TierSchedule:
         return [m for m in range(1, self.num_tiers + 1) if k % m == 0]
 
 
-def _weighted_mean(uploads: Sequence[Upload]) -> np.ndarray:
+def _weighted_mean(uploads: Iterable[Upload], empty_message: str) -> np.ndarray:
+    """Size-weighted mean, folded in one pass over the uploads in order.
+
+    The uploads may be produced lazily, so that a caller never holds more
+    than the one being folded.
+    """
+    acc = None
     total = 0.0
-    acc = np.zeros_like(uploads[0][1])
     for size, w in uploads:
         if size < 0:
             raise ValueError(f"negative data size {size}")
+        if acc is None:
+            acc = np.zeros_like(w)
         acc += size * w
         total += size
+    if acc is None:
+        raise EmptyUploadError(empty_message)
     if total <= 0:
         raise ValueError("upload data sizes sum to zero")
     return acc / total
 
 
-def fedavg_aggregate(uploads: Sequence[Upload]) -> np.ndarray:
+def fedavg_aggregate(uploads: Iterable[Upload]) -> np.ndarray:
     """Data-size-weighted mean of all received local models."""
-    if not uploads:
-        raise EmptyUploadError("no uploads to aggregate")
-    return _weighted_mean(uploads)
+    return _weighted_mean(uploads, "no uploads to aggregate")
 
 
 def fedasync_aggregate(w_prev: np.ndarray, w_new: np.ndarray, psi: float) -> np.ndarray:
@@ -122,15 +129,13 @@ def ttfed_tier_weights(k: int, num_tiers: int) -> np.ndarray:
     )
 
 
-def ttfed_intra_tier(uploads: Sequence[Upload]) -> np.ndarray:
+def ttfed_intra_tier(uploads: Iterable[Upload]) -> np.ndarray:
     """Size-weighted mean over one tier's successful uploads.
 
     Raises EmptyUploadError when nothing arrived, so the caller can fall
     back to the previous global model under that tier's weight.
     """
-    if not uploads:
-        raise EmptyUploadError("tier received no successful uploads")
-    return _weighted_mean(uploads)
+    return _weighted_mean(uploads, "tier received no successful uploads")
 
 
 def ttfed_global(

@@ -1,13 +1,14 @@
 """Run orchestration: tier construction and one cohort-event loop.
 
 Every algorithm is the same loop: at each event a cohort of users
-finishes its local cycle, their fading is drawn, the uploads that survive
-are trained from the model each user was sent, a merge rule updates the
-global model and the server sends it back to the cohort. The algorithms
-differ only in their rule: when events happen (a fixed grid for ttfed
-and fedavg, a queue of per-user or per-tier cadences for fedasync and
-fedat), who is in the cohort, who may upload with what bandwidth, and
-how uploads merge. Schedule timing uses nominal link delays (mean fading,
+finishes its local cycle, their fading is drawn, a merge rule updates the
+global model from the uploads that survive, each trained from the model
+its user was sent, and the server sends the result back to the cohort.
+The algorithms differ only in their rule: when events happen (a fixed
+grid for ttfed and fedavg, a queue of per-user or per-tier cadences for
+fedasync and fedat), who is in the cohort, who may upload with what
+bandwidth, and how uploads merge. A rule trains each upload as it folds
+it in, so no more than one local model is held at a time. Schedule timing uses nominal link delays (mean fading,
 equal bandwidth shares) so cadences are deterministic; realized fading
 only decides whether an upload survives. All randomness comes from
 per-purpose sub-streams of the master seed, so trajectories are
@@ -19,7 +20,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field, fields
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -380,8 +381,20 @@ class _Rule:
         """Users that upload, ascending, mapped to their bandwidth."""
         return dict.fromkeys(users, self.share)
 
-    def merge(self, key, index: int, w: np.ndarray, uploads: dict[int, Upload]) -> np.ndarray:
-        """The new global model from the current one and user -> upload."""
+    def merge(
+        self,
+        key,
+        index: int,
+        w: np.ndarray,
+        survivors: list[int],
+        upload: Callable[[int], Upload],
+    ) -> np.ndarray:
+        """The new global model from the current one and the surviving uploads.
+
+        `survivors` are the users whose upload arrived, ascending, and
+        `upload(u)` trains u's local model. Rules fold each upload as they
+        train it, so a cohort's local models are never all held at once.
+        """
         raise NotImplementedError
 
 
@@ -429,14 +442,14 @@ class _TtFed(_Rule):
             plan = allocator.select_users(qualified, params.total_bandwidth, sc.config.greedy_skip)
         return {u: plan.bandwidth[u] for u in plan.selected}
 
-    def merge(self, key, k, w, uploads):
-        by_tier: dict[int, list[Upload]] = {}
-        for u, upload in uploads.items():
-            by_tier.setdefault(self.sc.schedule.tier_of[u], []).append(upload)
-        for m, lst in by_tier.items():
+    def merge(self, key, k, w, survivors, upload):
+        by_tier: dict[int, list[int]] = {}
+        for u in survivors:
+            by_tier.setdefault(self.sc.schedule.tier_of[u], []).append(u)
+        for m, users in by_tier.items():
             if self.weights[m - 1] == 0.0:
-                self.zero_weight_uploads += len(lst)
-        intra = {m: ttfed_intra_tier(lst) for m, lst in by_tier.items()}
+                self.zero_weight_uploads += len(users)
+        intra = {m: ttfed_intra_tier(map(upload, users)) for m, users in by_tier.items()}
         return ttfed_global(k, self.sc.schedule.num_tiers, intra, w_prev=w, weights=self.weights)
 
 
@@ -451,8 +464,8 @@ class _FedAvg(_Rule):
         self.periods = {None: self.round_time}
         self.members = {None: list(range(sc.config.users))}
 
-    def merge(self, key, index, w, uploads):
-        return fedavg_aggregate(list(uploads.values())) if uploads else w
+    def merge(self, key, index, w, survivors, upload):
+        return fedavg_aggregate(map(upload, survivors)) if survivors else w
 
 
 class _FedAsync(_Rule):
@@ -463,9 +476,9 @@ class _FedAsync(_Rule):
         self.periods = {u: float(t) for u, t in enumerate(sc.nominal_cycle)}
         self.members = {u: [u] for u in self.periods}
 
-    def merge(self, key, index, w, uploads):
-        for _, local in uploads.values():
-            w = fedasync_aggregate(w, local, self.sc.config.psi)
+    def merge(self, key, index, w, survivors, upload):
+        for u in survivors:
+            w = fedasync_aggregate(w, upload(u)[1], self.sc.config.psi)
         return w
 
 
@@ -486,9 +499,9 @@ class _FedAt(_Rule):
         self.tier_models = dict.fromkeys(self.members, w0)
         self.counts = dict.fromkeys(self.members, 0)
 
-    def merge(self, m, index, w, uploads):
-        if uploads:
-            self.tier_models[m] = fedavg_aggregate(list(uploads.values()))
+    def merge(self, m, index, w, survivors, upload):
+        if survivors:
+            self.tier_models[m] = fedavg_aggregate(map(upload, survivors))
         self.counts[m] += 1
         total = sum(self.counts.values())
         swapped = reversed(list(self.counts.values()))
@@ -541,21 +554,25 @@ def run(
         metrics.downlink_broadcasts += 1  # initial model distribution
 
     sent = dict.fromkeys(range(cfg.users), (w, 0))  # user -> (model, dispatch index)
+
+    def upload(u: int) -> Upload:
+        return float(sc.data_sizes[u]), _train_user(sc, u, *sent[u])
+
     events = 0
     for t, key, index in _clock(rule.periods, budget, rule.synchronous):
         events += 1
         users = rule.cohort(key, index)
         fading = {u: _fading(sc, u, index) for u in users}
-        uploads: dict[int, Upload] = {}
+        survivors = []
         for u, bandwidth in rule.uploaders(index, users, fading).items():
             metrics.uplink_msgs += 1
             distance = float(sc.distances[u])
             if wireless.success_given_fading(fading[u], bandwidth, distance, sc.params):
-                uploads[u] = (float(sc.data_sizes[u]), _train_user(sc, u, *sent[u]))
+                survivors.append(u)
             else:
                 metrics.failed_total += 1
-        metrics.success_total += len(uploads)
-        w = rule.merge(key, index, w, uploads)
+        metrics.success_total += len(survivors)
+        w = rule.merge(key, index, w, survivors, upload)
         if rule.synchronous:
             metrics.downlink_broadcasts += 1
         else:

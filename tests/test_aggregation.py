@@ -64,6 +64,12 @@ class TestFedAvg:
         with pytest.raises(EmptyUploadError):
             fedavg_aggregate([])
 
+    def test_lazy_uploads_fold_like_a_list(self):
+        uploads = [(2.0, VEC), (1.0, -2.0 * VEC), (4.0, VEC + 0.1)]
+        assert fedavg_aggregate(iter(uploads)).tobytes() == fedavg_aggregate(uploads).tobytes()
+        with pytest.raises(EmptyUploadError):
+            fedavg_aggregate(iter([]))
+
     def test_negative_size(self):
         with pytest.raises(ValueError, match="negative"):
             fedavg_aggregate([(-1.0, VEC), (2.0, VEC)])

@@ -1,12 +1,13 @@
 """Training-loop orchestration: tiering, cadences, counters, determinism."""
 
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ttfedsim import allocator, wireless
+from ttfedsim import allocator, engine, wireless
 from ttfedsim.aggregation import TierSchedule, fedasync_aggregate, ttfed_global, ttfed_intra_tier
 from ttfedsim.config import ScenarioConfig, with_updates
 from ttfedsim.engine import (
@@ -419,6 +420,25 @@ class TestRunDispatch:
         assert len(trace) == last.round > 0
         acc, loss = evaluate(trace[-1], sc.test_images, sc.test_labels, sc.arch)
         assert (acc, loss) == (last.accuracy, last.loss)
+
+
+    @pytest.mark.parametrize("name", ["ttfed", "fedavg", "fedasync", "fedat"])
+    def test_uploads_are_folded_as_they_are_trained(self, name, monkeypatch):
+        """At most the upload being folded and the one just trained are alive."""
+        trained, most_alive = [], 0
+        local_update = engine.local_update
+
+        def tracked(*args, **kwargs):
+            nonlocal most_alive
+            local = local_update(*args, **kwargs)
+            trained.append(weakref.ref(local))
+            most_alive = max(most_alive, sum(ref() is not None for ref in trained))
+            return local
+
+        monkeypatch.setattr(engine, "local_update", tracked)
+        metrics = run(toy_config(algorithm=name, users=10, delta_t_frac=1.0, rounds=3))
+        assert len(trained) == metrics.success_total > 2
+        assert most_alive <= 2
 
 
 class TestCountComm:
