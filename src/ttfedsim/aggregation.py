@@ -1,19 +1,19 @@
-"""The four model-merging rules and the tier-weight scheme.
+"""The merge arithmetic and the time-triggered tier weights.
 
-Synchronous averaging merges every upload at once; the asynchronous rule
-mixes one arrival into the running global model; the tiered rule keeps one
-model per tier and merges them under a simplex weighting; the
-time-triggered rule combines due tiers' intra-tier means with the previous
-global model under per-round weights derived from cumulative update
-counts. Weight arithmetic is exact (integer numerators over a common
-denominator) before any float conversion.
+Synchronous averaging folds uploads into their size-weighted mean; the
+asynchronous rule mixes one arrival into the running global model; the
+tiered rule combines per-tier models under a simplex weighting. The
+time-triggered merge is the last two composed (each due tier's mean, then
+a simplex mix of all tiers), under per-round weights derived from
+cumulative update counts. Weight arithmetic is exact (integer numerators
+over a common denominator) before any float conversion. Which users form
+a tier, and when a tier is due, is the engine's business.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -26,41 +26,11 @@ class EmptyUploadError(ValueError):
     """An aggregation rule received no uploads to merge."""
 
 
-@dataclass(frozen=True)
-class TierSchedule:
-    """Static tier structure: who is in which tier, and the round interval.
+def fedavg_aggregate(uploads: Iterable[Upload]) -> np.ndarray:
+    """Data-size-weighted mean of the received local models.
 
-    Tier ids are 1-based; tier m uploads at global rounds k with k % m == 0
-    and needs m rounds for one local cycle.
-    """
-
-    num_tiers: int
-    tier_of: Mapping[int, int]  # user_id -> tier
-    delta_t: float  # seconds per global round
-    round_time: float  # T, the slowest user's single-cycle time
-
-    def __post_init__(self) -> None:
-        if self.num_tiers < 1:
-            raise ValueError(f"num_tiers must be >= 1, got {self.num_tiers}")
-        if not self.delta_t > 0.0:
-            raise ValueError(f"delta_t must be positive, got {self.delta_t}")
-        bad = {u: m for u, m in self.tier_of.items() if not 1 <= m <= self.num_tiers}
-        if bad:
-            raise ValueError(f"tier assignments outside 1..{self.num_tiers}: {bad}")
-
-    def users_in(self, tier: int) -> list[int]:
-        return sorted(u for u, m in self.tier_of.items() if m == tier)
-
-    def due_tiers(self, k: int) -> list[int]:
-        """Tiers whose upload lands exactly on round k."""
-        return [m for m in range(1, self.num_tiers + 1) if k % m == 0]
-
-
-def _weighted_mean(uploads: Iterable[Upload], empty_message: str) -> np.ndarray:
-    """Size-weighted mean, folded in one pass over the uploads in order.
-
-    The uploads may be produced lazily, so that a caller never holds more
-    than the one being folded.
+    The uploads are folded in one pass, in order, and may be produced
+    lazily, so that a caller never holds more than the one being folded.
     """
     acc = None
     total = 0.0
@@ -72,15 +42,10 @@ def _weighted_mean(uploads: Iterable[Upload], empty_message: str) -> np.ndarray:
         acc += size * w
         total += size
     if acc is None:
-        raise EmptyUploadError(empty_message)
+        raise EmptyUploadError("no uploads to aggregate")
     if total <= 0:
         raise ValueError("upload data sizes sum to zero")
     return acc / total
-
-
-def fedavg_aggregate(uploads: Iterable[Upload]) -> np.ndarray:
-    """Data-size-weighted mean of all received local models."""
-    return _weighted_mean(uploads, "no uploads to aggregate")
 
 
 def fedasync_aggregate(w_prev: np.ndarray, w_new: np.ndarray, psi: float) -> np.ndarray:
@@ -127,46 +92,3 @@ def ttfed_tier_weights(k: int, num_tiers: int) -> np.ndarray:
     return np.array(
         [float(f) for f in ttfed_tier_weight_fractions(k, num_tiers)], dtype=np.float64
     )
-
-
-def ttfed_intra_tier(uploads: Iterable[Upload]) -> np.ndarray:
-    """Size-weighted mean over one tier's successful uploads.
-
-    Raises EmptyUploadError when nothing arrived, so the caller can fall
-    back to the previous global model under that tier's weight.
-    """
-    return _weighted_mean(uploads, "tier received no successful uploads")
-
-
-def ttfed_global(
-    k: int,
-    num_tiers: int,
-    intra_by_tier: Mapping[int, np.ndarray],
-    w_prev: np.ndarray,
-    weights: Sequence[float] | None = None,
-) -> np.ndarray:
-    """One time-triggered global merge.
-
-    Due tiers (k % m == 0) present in intra_by_tier contribute their
-    intra-tier mean; every other tier, and due tiers with no successful
-    upload, contribute the previous global model under their weight.
-    """
-    w = (
-        ttfed_tier_weights(k, num_tiers)
-        if weights is None
-        else np.asarray(weights, dtype=np.float64)
-    )
-    if len(w) != num_tiers:
-        raise ValueError(f"{len(w)} weights for {num_tiers} tiers")
-    if (w < 0).any() or abs(w.sum() - 1.0) > _WEIGHT_SUM_TOL:
-        raise ValueError(f"weights must be a simplex vector, got sum {w.sum()!r}")
-    stale = {m for m in intra_by_tier if k % m != 0}
-    if stale:
-        raise ValueError(f"tiers {sorted(stale)} are not due at round {k}")
-    acc = np.zeros_like(w_prev)
-    for m in range(1, num_tiers + 1):
-        part = intra_by_tier.get(m)
-        if part is None or k % m != 0:
-            part = w_prev
-        acc += w[m - 1] * part
-    return acc

@@ -111,12 +111,8 @@ def convergence_bound(c: BoundConstants, rounds: int) -> float:
         raise ValueError(f"rounds must be >= 0, got {rounds}")
     if rounds == 0:
         return c.initial_gap
-    d2 = delta2(c)
-    if d2 == 0.0:
-        raise ZeroDivisionError("delta2 is zero; the asymptote 2*delta1*L/(mu*delta2) diverges")
-    factor = 1.0 - (c.strong_convexity * c.xi / (2.0 * c.smoothness)) * d2
-    asymptote = 2.0 * delta1(c) * c.smoothness / (c.strong_convexity * d2)
-    decay = factor**rounds
+    asymptote = asymptotic_bound(c)
+    decay = contraction_factor(c) ** rounds
     return decay * c.initial_gap + asymptote * (1.0 - decay)
 
 
@@ -124,7 +120,7 @@ def asymptotic_bound(c: BoundConstants) -> float:
     """K -> inf limit, meaningful when the contraction factor is in (0,1)."""
     d2 = delta2(c)
     if d2 == 0.0:
-        raise ZeroDivisionError("delta2 is zero; the asymptote diverges")
+        raise ZeroDivisionError("delta2 is zero; the asymptote 2*delta1*L/(mu*delta2) diverges")
     return 2.0 * delta1(c) * c.smoothness / (c.strong_convexity * d2)
 
 

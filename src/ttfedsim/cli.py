@@ -10,22 +10,24 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
 import tempfile
-from dataclasses import replace
 
 from . import __version__
-from .bound import BoundConstants, bound_table, check_conditions, convergence_bound
+from .bound import BoundConstants, bound_table, check_conditions
 from .config import (
     ConfigError,
     ScenarioConfig,
     apply_overrides,
-    build_config,
+    load_config,
     parse_config_text,
+    parse_keys,
+    with_updates,
 )
-from .engine import RunMetrics, count_comm, run, setup_scenario
+from .engine import RunMetrics, count_comm, run
 
 CSV_HEADER = [
     "time_s",
@@ -57,14 +59,18 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def metrics_csv_text(metrics: RunMetrics) -> str:
-    import io
-
+def _csv_text(header: list[str], rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(CSV_HEADER)
-    for p in metrics.evals:
-        writer.writerow(
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def metrics_csv_text(metrics: RunMetrics) -> str:
+    return _csv_text(
+        CSV_HEADER,
+        (
             [
                 f"{p.time_s:.9g}",
                 p.round,
@@ -77,8 +83,9 @@ def metrics_csv_text(metrics: RunMetrics) -> str:
                 p.success_users,
                 p.failed_users,
             ]
-        )
-    return buf.getvalue()
+            for p in metrics.evals
+        ),
+    )
 
 
 def summary_dict(cfg: ScenarioConfig, metrics: RunMetrics) -> dict:
@@ -107,34 +114,29 @@ def summary_dict(cfg: ScenarioConfig, metrics: RunMetrics) -> dict:
     }
 
 
-def _load_cfg(args) -> ScenarioConfig:
-    with open(args.config, encoding="utf-8") as fh:
-        raw = parse_config_text(fh.read(), source=args.config)
-    raw = apply_overrides(raw, args.override or [])
-    if args.seed is not None:
-        raw["sim.seed"] = str(args.seed)
-    return build_config(raw)
-
-
 def _out_dir(args) -> str:
     if args.out_dir:
         return args.out_dir
     return os.environ.get(OUT_DIR_ENV, "ttfedsim_out")
 
 
-def _run_prefix(cfg: ScenarioConfig) -> str:
-    return f"{cfg.algorithm}_seed{cfg.seed}"
+def _write_run(prefix: str, cfg: ScenarioConfig, metrics: RunMetrics) -> tuple[str, str]:
+    """Write a run's metrics CSV and summary JSON; returns their paths."""
+    csv_path = f"{prefix}_metrics.csv"
+    json_path = f"{prefix}_summary.json"
+    _atomic_write(csv_path, metrics_csv_text(metrics))
+    _atomic_write(json_path, json.dumps(summary_dict(cfg, metrics), indent=2) + "\n")
+    return csv_path, json_path
 
 
 def cmd_run(args) -> int:
-    cfg = _load_cfg(args)
+    # --seed goes last, so it wins over an --override of sim.seed
+    seed = [f"sim.seed={args.seed}"] if args.seed is not None else []
+    cfg = load_config(args.config, (args.override or []) + seed)
     metrics = run(cfg)
-    out = _out_dir(args)
-    prefix = _run_prefix(cfg)
-    csv_path = os.path.join(out, f"{prefix}_metrics.csv")
-    json_path = os.path.join(out, f"{prefix}_summary.json")
-    _atomic_write(csv_path, metrics_csv_text(metrics))
-    _atomic_write(json_path, json.dumps(summary_dict(cfg, metrics), indent=2) + "\n")
+    csv_path, json_path = _write_run(
+        os.path.join(_out_dir(args), f"{cfg.algorithm}_seed{cfg.seed}"), cfg, metrics
+    )
     print(f"wrote {csv_path}")
     print(f"wrote {json_path}")
     last = metrics.evals[-1]
@@ -156,9 +158,6 @@ def _parse_axis(spec: str) -> tuple[str, list[str]]:
 
 
 def cmd_sweep(args) -> int:
-    with open(args.config, encoding="utf-8") as fh:
-        base_raw = parse_config_text(fh.read(), source=args.config)
-    base_raw = apply_overrides(base_raw, args.override or [])
     axis_key, axis_values = _parse_axis(args.axis)
     seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else None
     out = _out_dir(args)
@@ -166,18 +165,13 @@ def cmd_sweep(args) -> int:
     runs = []
     rows = []
     for value in axis_values:
-        raw = dict(base_raw)
-        raw[axis_key] = value
-        cfg0 = build_config(raw)
+        # the axis value goes last, so it wins over an --override of its key
+        cfg0 = load_config(args.config, (args.override or []) + [f"{axis_key}={value}"])
         for seed in seeds or [cfg0.seed]:
-            cfg = replace(cfg0, seed=seed)
-            cfg.validate()
+            cfg = with_updates(cfg0, seed=seed)
             metrics = run(cfg)
             tag = f"{axis_key.split('.')[-1]}_{value}_seed{seed}_{cfg.algorithm}"
-            csv_path = os.path.join(out, "runs", f"{tag}_metrics.csv")
-            json_path = os.path.join(out, "runs", f"{tag}_summary.json")
-            _atomic_write(csv_path, metrics_csv_text(metrics))
-            _atomic_write(json_path, json.dumps(summary_dict(cfg, metrics), indent=2) + "\n")
+            csv_path, json_path = _write_run(os.path.join(out, "runs", tag), cfg, metrics)
             runs.append(
                 {
                     "axis_key": axis_key,
@@ -205,28 +199,21 @@ def cmd_sweep(args) -> int:
             )
             print(f"{axis_key}={value} seed={seed}: accuracy {last.accuracy:.4f}")
 
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(
-        [
-            "axis_value",
-            "seed",
-            "algorithm",
-            "final_accuracy",
-            "final_loss",
-            "uplink_msgs",
-            "downlink_broadcasts",
-            "downlink_unicasts",
-            "num_tiers",
-            "delta_t_s",
-        ]
-    )
-    writer.writerows(rows)
     comparison = os.path.join(out, "comparison.csv")
     manifest = os.path.join(out, "manifest.json")
-    _atomic_write(comparison, buf.getvalue())
+    header = [
+        "axis_value",
+        "seed",
+        "algorithm",
+        "final_accuracy",
+        "final_loss",
+        "uplink_msgs",
+        "downlink_broadcasts",
+        "downlink_unicasts",
+        "num_tiers",
+        "delta_t_s",
+    ]
+    _atomic_write(comparison, _csv_text(header, rows))
     _atomic_write(
         manifest,
         json.dumps({"tool_version": __version__, "axis": args.axis, "runs": runs}, indent=2)
@@ -253,6 +240,8 @@ _BOUND_KEYS = {
         "failure_fractions",
         lambda s: tuple(float(x) for x in s.split(",")) if s.strip() else (),
     ),
+    # the K values of the table, not a constant
+    "bound.round_values": ("round_values", lambda s: [int(x) for x in s.split(",")]),
 }
 
 
@@ -260,19 +249,8 @@ def load_bound_constants(path: str, overrides: list[str] | None = None) -> tuple
     with open(path, encoding="utf-8") as fh:
         raw = parse_config_text(fh.read(), source=path)
     raw = apply_overrides(raw, overrides or [])
-    rounds = [0, 1, 10, 100, 1000]
-    kwargs = {}
-    for key, value in raw.items():
-        if key == "bound.round_values":
-            rounds = [int(x) for x in value.split(",")]
-            continue
-        if key not in _BOUND_KEYS:
-            raise ConfigError(f"unknown config key {key!r}")
-        attr, parser = _BOUND_KEYS[key]
-        try:
-            kwargs[attr] = parser(value)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"{key}: cannot parse {value!r} ({exc})") from exc
+    kwargs = parse_keys(raw, _BOUND_KEYS)
+    rounds = kwargs.pop("round_values", [0, 1, 10, 100, 1000])
     try:
         constants = BoundConstants(**kwargs)
     except (ValueError, TypeError) as exc:

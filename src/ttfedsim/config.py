@@ -128,6 +128,8 @@ class ScenarioConfig:
                 raise ConfigError(f"{key}: must be positive, got {value}")
         if self.bits_per_param < 1:
             raise ConfigError(f"channel.bits_per_param: must be >= 1, got {self.bits_per_param}")
+        if self.hidden_width < 1:
+            raise ConfigError(f"train.hidden_width: must be >= 1, got {self.hidden_width}")
         try:
             self.train_config()
         except ValueError as exc:
@@ -149,7 +151,6 @@ class ScenarioConfig:
             learning_rate=self.learning_rate,
             local_epochs=self.local_epochs,
             batch_size=self.batch_size,
-            hidden_width=self.hidden_width,
         )
 
     def to_flat(self) -> dict[str, str]:
@@ -262,17 +263,26 @@ def apply_overrides(raw: dict[str, str], overrides: list[str]) -> dict[str, str]
     return merged
 
 
-def build_config(raw: dict[str, str]) -> ScenarioConfig:
-    """Typed ScenarioConfig from a raw map; unknown keys are errors."""
+def parse_keys(raw: dict[str, str], keys: dict[str, tuple[str, object]]) -> dict:
+    """Field values from a raw map through a key -> (field, parser) table.
+
+    Unknown keys and unparseable values are errors naming the key.
+    """
     kwargs = {}
     for key, value in raw.items():
-        if key not in _KEYS:
+        if key not in keys:
             raise ConfigError(f"unknown config key {key!r}")
-        attr, parser = _KEYS[key]
+        attr, parser = keys[key]
         try:
             kwargs[attr] = parser(value)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"{key}: cannot parse {value!r} ({exc})") from exc
+    return kwargs
+
+
+def build_config(raw: dict[str, str]) -> ScenarioConfig:
+    """Typed ScenarioConfig from a raw map; unknown keys are errors."""
+    kwargs = parse_keys(raw, _KEYS)
     if "delta_t_s" in kwargs and kwargs["delta_t_s"] is not None:
         kwargs.setdefault("delta_t_frac", None)
     cfg = ScenarioConfig(**kwargs)

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import math
 import struct
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -256,7 +255,8 @@ def partition(dataset: LabeledDataset, spec: PartitionSpec) -> list[UserShard]:
     Deterministic given (dataset, spec). When a user's quota asks for more
     of a class than remains in the pool, the deficit spills to the
     globally most-abundant remaining class; the substitution count is kept
-    on the shard and surfaced as a warning.
+    on the shard (`UserShard.substituted`) and a run reports the total as
+    `substituted_samples`.
     """
     if dataset.count == 0:
         raise ValueError("cannot partition an empty dataset")
@@ -277,7 +277,6 @@ def partition(dataset: LabeledDataset, spec: PartitionSpec) -> list[UserShard]:
         cursor[c] += n
 
     shards: list[UserShard] = []
-    total_substituted = 0
     for uid, size in enumerate(sizes):
         shares = dirichlet_class_shares(spec.dirichlet_theta, priors, rng)
         quotas = _class_quotas(size, shares, offset=uid * NUM_CLASSES // spec.num_users)
@@ -304,12 +303,5 @@ def partition(dataset: LabeledDataset, spec: PartitionSpec) -> list[UserShard]:
                 class_histogram=hist,
                 substituted=substituted,
             )
-        )
-        total_substituted += substituted
-    if total_substituted:
-        warnings.warn(
-            f"{total_substituted} samples assigned from substitute classes "
-            f"(requested classes were exhausted)",
-            stacklevel=2,
         )
     return shards

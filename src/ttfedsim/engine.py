@@ -1,4 +1,4 @@
-"""Run orchestration: tier construction and one cohort-event loop.
+"""Run orchestration: the tier structure and one cohort-event loop.
 
 Every algorithm is the same loop: at each event a cohort of users
 finishes its local cycle, their fading is drawn, a merge rule updates the
@@ -8,9 +8,10 @@ The algorithms differ only in their rule: when events happen (a fixed
 grid for ttfed and fedavg, a queue of per-user or per-tier cadences for
 fedasync and fedat), who is in the cohort, who may upload with what
 bandwidth, and how uploads merge. A rule trains each upload as it folds
-it in, so no more than one local model is held at a time. Schedule timing uses nominal link delays (mean fading,
-equal bandwidth shares) so cadences are deterministic; realized fading
-only decides whether an upload survives. All randomness comes from
+it in, so no more than one local model is held at a time. Schedule
+timing uses nominal link delays (mean fading, equal bandwidth shares) so
+cadences are deterministic; realized fading only decides whether an
+upload survives. All randomness comes from
 per-purpose sub-streams of the master seed, so trajectories are
 reproducible bit-for-bit regardless of execution order.
 """
@@ -20,19 +21,16 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field, fields
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
 from . import allocator, wireless
 from .aggregation import (
-    TierSchedule,
     Upload,
     fedavg_aggregate,
     fedasync_aggregate,
     fedat_aggregate,
-    ttfed_global,
-    ttfed_intra_tier,
     ttfed_tier_weights,
 )
 from .config import ScenarioConfig
@@ -186,43 +184,47 @@ def _ceil_with_boundary(x: float) -> int:
     return int(math.ceil(x))
 
 
-def _nominal_cycle(
-    tau_cp: np.ndarray, distances: np.ndarray, params: ChannelParams
-) -> np.ndarray:
-    """Per-user t_u: compute time plus upload time at an equal share B/U under mean fading."""
-    share = params.total_bandwidth / len(distances)
-    return tau_cp + np.array(
-        [
-            wireless.comm_delay(
-                share, wireless.path_loss(float(d), params.path_loss_exponent), params
-            )
-            for d in distances
-        ]
-    )
+@dataclass(frozen=True)
+class TierSchedule:
+    """Static tier structure: who is in which tier, and the round interval.
+
+    Tier ids are 1-based; tier m uploads at global rounds k with k % m == 0
+    and needs m rounds for one local cycle.
+    """
+
+    num_tiers: int
+    tier_of: Mapping[int, int]  # user_id -> tier
+    delta_t: float  # seconds per global round
+    round_time: float  # T, the slowest user's single-cycle time
+
+    def __post_init__(self) -> None:
+        if self.num_tiers < 1:
+            raise ValueError(f"num_tiers must be >= 1, got {self.num_tiers}")
+        if not self.delta_t > 0.0:
+            raise ValueError(f"delta_t must be positive, got {self.delta_t}")
+        bad = {u: m for u, m in self.tier_of.items() if not 1 <= m <= self.num_tiers}
+        if bad:
+            raise ValueError(f"tier assignments outside 1..{self.num_tiers}: {bad}")
+
+    def users_in(self, tier: int) -> list[int]:
+        return sorted(u for u, m in self.tier_of.items() if m == tier)
+
+    def due_tiers(self, k: int) -> list[int]:
+        """Tiers whose upload lands exactly on round k."""
+        return [m for m in range(1, self.num_tiers + 1) if k % m == 0]
 
 
 def build_tiers(
-    profiles: list[ComputeProfile],
-    distances: np.ndarray,
-    params: ChannelParams,
-    delta_t_s: float | None = None,
-    delta_t_frac: float | None = None,
-    cycle: np.ndarray | None = None,
+    cycle: np.ndarray, delta_t_s: float | None = None, delta_t_frac: float | None = None
 ) -> TierSchedule:
     """Group users by how many global rounds one local cycle needs.
 
-    The nominal cycle t_u = compute time + upload time at equal-share
-    bandwidth B/U under mean fading; pass `cycle` when it is already
-    known. T = max t_u; the interval is either given in seconds or as a
-    fraction of T; user u joins tier ceil(t_u / delta_t) and
-    M = ceil(T / delta_t).
+    `cycle` holds each user's nominal cycle t_u. T = max t_u; the
+    interval is either given in seconds or as a fraction of T; user u
+    joins tier ceil(t_u / delta_t) and M = ceil(T / delta_t).
     """
-    num_users = len(profiles)
-    if num_users == 0:
+    if len(cycle) == 0:
         raise ValueError("no users")
-    if cycle is None:
-        tau_cp = np.array([wireless.compute_delay(p) for p in profiles])
-        cycle = _nominal_cycle(tau_cp, distances, params)
     slowest = float(cycle.max())
     if delta_t_s is not None:
         delta = delta_t_s
@@ -232,8 +234,7 @@ def build_tiers(
         raise ValueError("either delta_t_s or delta_t_frac is required")
     num_tiers = _ceil_with_boundary(slowest / delta)
     tier_of = {
-        u: min(num_tiers, _ceil_with_boundary(float(cycle[u]) / delta))
-        for u in range(num_users)
+        u: min(num_tiers, _ceil_with_boundary(float(t) / delta)) for u, t in enumerate(cycle)
     }
     return TierSchedule(
         num_tiers=num_tiers,
@@ -286,14 +287,18 @@ def setup_scenario(
         for u in range(cfg.users)
     ]
     tau_cp = np.array([wireless.compute_delay(p) for p in profiles])
-    nominal_cycle = _nominal_cycle(tau_cp, distances, params)
+    # t_u: compute time plus upload time at an equal share B/U under mean fading
+    share = params.total_bandwidth / cfg.users
+    nominal_cycle = tau_cp + np.array(
+        [
+            wireless.comm_delay(
+                share, wireless.path_loss(float(d), params.path_loss_exponent), params
+            )
+            for d in distances
+        ]
+    )
     schedule = build_tiers(
-        profiles,
-        distances,
-        params,
-        delta_t_s=cfg.delta_t_s,
-        delta_t_frac=cfg.delta_t_frac,
-        cycle=nominal_cycle,
+        nominal_cycle, delta_t_s=cfg.delta_t_s, delta_t_frac=cfg.delta_t_frac
     )
     return Scenario(
         config=cfg,
@@ -365,7 +370,6 @@ class _Rule:
 
     def __init__(self, sc: Scenario, w0: np.ndarray) -> None:
         self.sc = sc
-        self.round_time = sc.schedule.round_time
         self.zero_weight_uploads = 0
         self.share = sc.params.total_bandwidth / sc.config.users
         tiers = range(1, sc.schedule.num_tiers + 1)
@@ -443,25 +447,32 @@ class _TtFed(_Rule):
         return {u: plan.bandwidth[u] for u in plan.selected}
 
     def merge(self, key, k, w, survivors, upload):
+        """FedAvg inside each due tier, then FedAT's simplex mix over all tiers.
+
+        A tier that is not due, or that had no survivor, contributes the
+        current global model under its weight.
+        """
         by_tier: dict[int, list[int]] = {}
         for u in survivors:
             by_tier.setdefault(self.sc.schedule.tier_of[u], []).append(u)
         for m, users in by_tier.items():
             if self.weights[m - 1] == 0.0:
                 self.zero_weight_uploads += len(users)
-        intra = {m: ttfed_intra_tier(map(upload, users)) for m, users in by_tier.items()}
-        return ttfed_global(k, self.sc.schedule.num_tiers, intra, w_prev=w, weights=self.weights)
+        tier_models = [
+            fedavg_aggregate(map(upload, by_tier[m])) if m in by_tier else w
+            for m in self.tier_users
+        ]
+        return fedat_aggregate(tier_models, self.weights)
 
 
 class _FedAvg(_Rule):
-    """Synchronous rounds: all users, every slowest nominal cycle."""
+    """Synchronous rounds: all users, every slowest nominal cycle T."""
 
     synchronous = True
 
     def __init__(self, sc: Scenario, w0: np.ndarray) -> None:
         super().__init__(sc, w0)
-        self.round_time = float(sc.nominal_cycle.max())
-        self.periods = {None: self.round_time}
+        self.periods = {None: sc.schedule.round_time}
         self.members = {None: list(range(sc.config.users))}
 
     def merge(self, key, index, w, survivors, upload):
@@ -542,14 +553,21 @@ def run(
     w = init_params(derive_seed(cfg.seed, TAG_INIT), sc.arch)
     rule = rule_type(sc, w)
     schedule = sc.schedule
-    metrics = RunMetrics(cfg.algorithm, schedule.num_tiers, schedule.delta_t, rule.round_time)
+    metrics = RunMetrics(cfg.algorithm, schedule.num_tiers, schedule.delta_t, schedule.round_time)
     metrics.substituted_samples = sc.substituted_samples
     budget = sc.budget_s
     stride = _eval_stride(
         sum(math.floor(budget / period + _TIME_EPS) for period in rule.periods.values()), cfg
     )
-    acc, loss = evaluate(w, sc.test_images, sc.test_labels, sc.arch)
-    metrics.record(0.0, 0, acc, loss)
+    scored = (None, None)  # the last model evaluated and its (accuracy, loss)
+
+    def record(t: float, round_idx: int, model: np.ndarray) -> None:
+        nonlocal scored
+        if scored[0] is not model:  # an event that kept the model is not re-scored
+            scored = (model, evaluate(model, sc.test_images, sc.test_labels, sc.arch))
+        metrics.record(t, round_idx, *scored[1])
+
+    record(0.0, 0, w)
     if not rule.synchronous:
         metrics.downlink_broadcasts += 1  # initial model distribution
 
@@ -582,10 +600,8 @@ def run(
         if trace is not None:
             trace.append(w.copy())
         if events % stride == 0:
-            acc, loss = evaluate(w, sc.test_images, sc.test_labels, sc.arch)
-            metrics.record(t, events, acc, loss)
+            record(t, events, w)
     if events % stride != 0:
-        acc, loss = evaluate(w, sc.test_images, sc.test_labels, sc.arch)
-        metrics.record(t, events, acc, loss)
+        record(t, events, w)
     metrics.zero_weight_uploads = rule.zero_weight_uploads
     return metrics

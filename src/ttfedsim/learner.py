@@ -33,7 +33,6 @@ class TrainConfig:
     learning_rate: float = 0.01
     local_epochs: int = 1
     batch_size: int = 32
-    hidden_width: int = 50
 
     def __post_init__(self) -> None:
         if self.learning_rate < 0.0:
@@ -42,8 +41,6 @@ class TrainConfig:
             raise ValueError(f"local_epochs must be >= 1, got {self.local_epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.hidden_width < 1:
-            raise ValueError(f"hidden_width must be >= 1, got {self.hidden_width}")
 
 
 def _views(w: np.ndarray, arch: MlpArch):

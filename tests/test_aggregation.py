@@ -9,12 +9,9 @@ from hypothesis import strategies as st
 
 from ttfedsim.aggregation import (
     EmptyUploadError,
-    TierSchedule,
     fedasync_aggregate,
     fedat_aggregate,
     fedavg_aggregate,
-    ttfed_global,
-    ttfed_intra_tier,
     ttfed_tier_weight_fractions,
     ttfed_tier_weights,
 )
@@ -196,55 +193,40 @@ class TestTierWeights:
         assert w.argmax() == 3
 
 
-class TestIntraTier:
-    def test_single_upload(self):
-        out = ttfed_intra_tier([(1.0, VEC)])
-        assert out.tobytes() == VEC.tobytes()
-
-    def test_symmetric_pair(self):
-        out = ttfed_intra_tier([(2.0, VEC), (2.0, -VEC)])
-        assert np.array_equal(out, np.zeros(3))
-
-    def test_weighted_scalar(self):
-        out = ttfed_intra_tier([(2.0, np.array([3.0])), (1.0, np.array([0.0]))])
-        assert out[0] == 2.0
-
-    def test_empty_signals_fallback(self):
-        with pytest.raises(EmptyUploadError):
-            ttfed_intra_tier([])
-
-
 class TestTtfedGlobal:
+    """TT-Fed's global merge: FedAT's simplex mix under the round's tier weights.
+
+    The engine hands each due tier's FedAvg mean, and the current global
+    model for every other tier.
+    """
+
     def test_two_tier_merge(self):
-        out = ttfed_global(
-            2, 2, {1: np.array([3.0]), 2: np.array([6.0])}, np.array([0.0])
-        )
-        assert out[0] == 5.0  # default weights at k=2 are (1/3, 2/3)
+        out = fedat_aggregate([np.array([3.0]), np.array([6.0])], ttfed_tier_weights(2, 2))
+        assert out[0] == 5.0  # weights at k=2 are (1/3, 2/3)
 
     def test_first_round_keeps_previous(self):
         w_prev = np.array([1.5, 2.5])
-        out = ttfed_global(1, 2, {1: np.array([9.0, 9.0])}, w_prev)
+        out = fedat_aggregate([np.array([9.0, 9.0]), w_prev], ttfed_tier_weights(1, 2))
         assert np.array_equal(out, w_prev)  # weight vector (0, 1) at k=1
 
     def test_fixed_point(self):
         w_prev = VEC.copy()
-        out = ttfed_global(6, 3, {1: w_prev, 2: w_prev, 3: w_prev}, w_prev)
+        out = fedat_aggregate([w_prev] * 3, ttfed_tier_weights(6, 3))
         np.testing.assert_allclose(out, w_prev, rtol=1e-14)
 
     def test_missing_due_tier_uses_previous(self):
         w_prev = np.array([30.0])
-        out = ttfed_global(2, 2, {2: np.array([6.0])}, w_prev)
+        out = fedat_aggregate([w_prev, np.array([6.0])], ttfed_tier_weights(2, 2))
         assert out[0] == pytest.approx((1 / 3) * 30.0 + (2 / 3) * 6.0, rel=1e-15)
 
-    def test_stale_tier_rejected(self):
-        with pytest.raises(ValueError, match="not due"):
-            ttfed_global(3, 2, {2: np.array([1.0])}, np.array([0.0]))
-
     def test_explicit_weights_checked(self):
+        # the equal_weight policy's 1/M weights pass the simplex tolerance
+        for num_tiers in range(1, 65):
+            weights = np.full(num_tiers, 1.0 / num_tiers)
+            out = fedat_aggregate([VEC] * num_tiers, weights)
+            np.testing.assert_allclose(out, VEC, rtol=1e-13)
         with pytest.raises(ValueError, match="simplex"):
-            ttfed_global(2, 2, {}, np.array([0.0]), weights=[0.7, 0.7])
-        with pytest.raises(ValueError, match="weights"):
-            ttfed_global(2, 2, {}, np.array([0.0]), weights=[1.0])
+            fedat_aggregate([VEC, VEC], [0.7, 0.7])
 
     def test_single_tier_matches_sync_mean_bitwise(self):
         rng = np.random.default_rng(21)
@@ -253,38 +235,12 @@ class TestTtfedGlobal:
             uploads = [
                 (float(rng.uniform(1, 50)), rng.standard_normal(8)) for _ in range(n)
             ]
-            w_prev = rng.standard_normal(8)
-            merged = ttfed_global(
-                int(rng.integers(1, 100)), 1, {1: ttfed_intra_tier(uploads)}, w_prev
-            )
+            weights = ttfed_tier_weights(int(rng.integers(1, 100)), 1)
+            merged = fedat_aggregate([fedavg_aggregate(uploads)], weights)
             assert merged.tobytes() == fedavg_aggregate(uploads).tobytes()
 
     @given(upload_sets(), st.integers(min_value=1, max_value=50))
     @settings(max_examples=60, deadline=None)
     def test_single_tier_equivalence_property(self, uploads, k):
-        w_prev = np.zeros_like(uploads[0][1])
-        merged = ttfed_global(k, 1, {1: ttfed_intra_tier(uploads)}, w_prev)
+        merged = fedat_aggregate([fedavg_aggregate(uploads)], ttfed_tier_weights(k, 1))
         assert merged.tobytes() == fedavg_aggregate(uploads).tobytes()
-
-
-class TestTierSchedule:
-    def test_membership_queries(self):
-        sched = TierSchedule(
-            num_tiers=2,
-            tier_of={0: 1, 1: 2, 2: 1},
-            delta_t=0.5,
-            round_time=1.0,
-        )
-        assert sched.users_in(1) == [0, 2]
-        assert sched.users_in(2) == [1]
-        assert sched.due_tiers(1) == [1]
-        assert sched.due_tiers(2) == [1, 2]
-        assert sched.due_tiers(6) == [1, 2]
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="num_tiers"):
-            TierSchedule(0, {}, 0.5, 1.0)
-        with pytest.raises(ValueError, match="delta_t"):
-            TierSchedule(1, {}, 0.0, 1.0)
-        with pytest.raises(ValueError, match="assignments"):
-            TierSchedule(2, {0: 3}, 0.5, 1.0)

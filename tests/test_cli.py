@@ -264,6 +264,10 @@ class TestLoadBoundConstants:
         )
         assert rounds == [0, 5, 50]
 
+    def test_unparseable_round_values_name_the_key(self, bound_cfg_file):
+        with pytest.raises(ConfigError, match="bound.round_values"):
+            load_bound_constants(bound_cfg_file, overrides=["bound.round_values=0,x"])
+
     def test_median_none(self, bound_cfg_file):
         constants, _ = load_bound_constants(
             bound_cfg_file, overrides=["bound.median_const=none"]

@@ -120,6 +120,7 @@ class TestValidate:
             ({"data_source": "csv"}, "data.source"),
             ({"data_source": "idx"}, "data.train_images"),
             ({"learning_rate": -0.1}, "train"),
+            ({"hidden_width": 0}, r"train\.hidden_width: must be >= 1"),
         ],
     )
     def test_rejects(self, updates, fragment):

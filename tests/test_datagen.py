@@ -3,7 +3,6 @@
 import math
 import os
 import struct
-import warnings
 
 import numpy as np
 import pytest
@@ -259,36 +258,31 @@ class TestPartition:
             assert s.substituted == 0
 
     def test_disjoint_and_exhaustive(self, balanced_2500):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            shards = partition(
-                balanced_2500,
-                PartitionSpec(num_users=20, zipf_eta=1.0, dirichlet_theta=0.5, seed=3),
-            )
+        shards = partition(
+            balanced_2500,
+            PartitionSpec(num_users=20, zipf_eta=1.0, dirichlet_theta=0.5, seed=3),
+        )
         all_idx = np.concatenate([s.indices for s in shards])
         assert len(all_idx) == balanced_2500.count
         assert len(np.unique(all_idx)) == balanced_2500.count
 
     def test_one_class_limit(self, balanced_2500):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            shards = partition(
-                balanced_2500,
-                PartitionSpec(num_users=20, zipf_eta=0.0, dirichlet_theta=0.0, seed=3),
-            )
+        shards = partition(
+            balanced_2500,
+            PartitionSpec(num_users=20, zipf_eta=0.0, dirichlet_theta=0.0, seed=3),
+        )
         pure = [s for s in shards if s.substituted == 0]
         assert len(pure) >= 10  # pool collisions can force substitutes
         for s in pure:
             assert (s.class_histogram > 0).sum() == 1
         assert sum(s.size for s in shards) == 2500
 
-    def test_substitution_warning(self, balanced_2500):
+    def test_substitution_counted(self, balanced_2500):
         # 20 one-class users over 10 classes of 250 always collide somewhere
-        with pytest.warns(UserWarning, match="substitute"):
-            shards = partition(
-                balanced_2500,
-                PartitionSpec(num_users=20, zipf_eta=0.0, dirichlet_theta=0.0, seed=3),
-            )
+        shards = partition(
+            balanced_2500,
+            PartitionSpec(num_users=20, zipf_eta=0.0, dirichlet_theta=0.0, seed=3),
+        )
         assert sum(s.substituted for s in shards) > 0
 
     def test_single_user_gets_everything(self, balanced_2500):
@@ -298,10 +292,8 @@ class TestPartition:
 
     def test_deterministic(self, balanced_2500):
         spec = PartitionSpec(num_users=7, zipf_eta=0.8, dirichlet_theta=0.3, seed=11)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            a = partition(balanced_2500, spec)
-            b = partition(balanced_2500, spec)
+        a = partition(balanced_2500, spec)
+        b = partition(balanced_2500, spec)
         for sa, sb in zip(a, b):
             assert np.array_equal(sa.indices, sb.indices)
             assert sa.substituted == sb.substituted
@@ -322,14 +314,12 @@ class TestPartition:
     @settings(max_examples=60, deadline=None)
     def test_partition_properties(self, users, eta, theta, seed):
         train, _ = synthetic_digits(20, 1, seed=8)  # 200 samples
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            shards = partition(
-                train,
-                PartitionSpec(
-                    num_users=users, zipf_eta=eta, dirichlet_theta=theta, seed=seed
-                ),
-            )
+        shards = partition(
+            train,
+            PartitionSpec(
+                num_users=users, zipf_eta=eta, dirichlet_theta=theta, seed=seed
+            ),
+        )
         all_idx = np.concatenate([s.indices for s in shards])
         assert len(all_idx) == 200
         assert len(np.unique(all_idx)) == 200

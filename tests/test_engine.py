@@ -8,10 +8,16 @@ import numpy as np
 import pytest
 
 from ttfedsim import allocator, engine, wireless
-from ttfedsim.aggregation import TierSchedule, fedasync_aggregate, ttfed_global, ttfed_intra_tier
+from ttfedsim.aggregation import (
+    fedasync_aggregate,
+    fedat_aggregate,
+    fedavg_aggregate,
+    ttfed_tier_weights,
+)
 from ttfedsim.config import ScenarioConfig, with_updates
 from ttfedsim.engine import (
     RunMetrics,
+    TierSchedule,
     _ceil_with_boundary,
     _train_user,
     build_tiers,
@@ -22,7 +28,6 @@ from ttfedsim.engine import (
 )
 from ttfedsim.learner import evaluate, init_params
 from ttfedsim.streams import TAG_INIT, derive_seed
-from ttfedsim.wireless import ChannelParams, ComputeProfile
 
 # small, fast, high-success scenario shared by the loop tests
 BASE = ScenarioConfig(
@@ -37,28 +42,6 @@ BASE = ScenarioConfig(
 
 def toy_config(**overrides):
     return with_updates(BASE, **overrides)
-
-
-def free_uplink_params():
-    """Channel with a zero-size payload: upload time is exactly zero."""
-    return ChannelParams(
-        path_loss_exponent=3.76,
-        noise_psd=3.98e-21,
-        tx_power=0.01,
-        snr_threshold=1.0,
-        total_bandwidth=20e6,
-        model_bits=0.0,
-    )
-
-
-def profile(seconds, size=100.0):
-    """ComputeProfile whose compute delay is exactly `seconds`."""
-    return ComputeProfile(
-        cpu_freq=size * 5e5 / seconds,
-        cycles_per_sample=5e5,
-        local_epochs=1,
-        dataset_size=size,
-    )
 
 
 class TestPlaceUsers:
@@ -100,49 +83,56 @@ class TestCeilWithBoundary:
         assert _ceil_with_boundary(3.0001) == 4
 
 
+class TestTierSchedule:
+    def test_membership_queries(self):
+        sched = TierSchedule(
+            num_tiers=2,
+            tier_of={0: 1, 1: 2, 2: 1},
+            delta_t=0.5,
+            round_time=1.0,
+        )
+        assert sched.users_in(1) == [0, 2]
+        assert sched.users_in(2) == [1]
+        assert sched.due_tiers(1) == [1]
+        assert sched.due_tiers(2) == [1, 2]
+        assert sched.due_tiers(6) == [1, 2]
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="num_tiers"):
+            TierSchedule(0, {}, 0.5, 1.0)
+        with pytest.raises(ValueError, match="delta_t"):
+            TierSchedule(1, {}, 0.0, 1.0)
+        with pytest.raises(ValueError, match="assignments"):
+            TierSchedule(2, {0: 3}, 0.5, 1.0)
+
+
 class TestBuildTiers:
     @pytest.mark.parametrize(
         "frac,num_tiers", [(0.3, 4), (0.4, 3), (0.6, 2), (0.8, 2), (1.0, 1)]
     )
     def test_tier_count_from_fraction(self, frac, num_tiers):
-        profiles = [profile(1.0), profile(0.5)]
-        sched = build_tiers(
-            profiles, np.array([100.0, 100.0]), free_uplink_params(), delta_t_frac=frac
-        )
+        sched = build_tiers(np.array([1.0, 0.5]), delta_t_frac=frac)
         assert sched.num_tiers == num_tiers
 
     def test_membership_and_data_totals(self):
-        # zero-payload channel makes the cycle equal the compute time
-        profiles = [profile(1.0, size=2000.0), profile(2.0, size=4000.0)]
-        sched = build_tiers(
-            profiles, np.array([100.0, 100.0]), free_uplink_params(), delta_t_s=1.0
-        )
+        sched = build_tiers(np.array([1.0, 2.0]), delta_t_s=1.0)
         assert sched.num_tiers == 2
         assert sched.tier_of == {0: 1, 1: 2}
         assert sched.round_time == 2.0
         assert sched.delta_t == 1.0
 
     def test_exact_boundary_joins_lower_tier(self):
-        profiles = [profile(0.5), profile(1.0)]
-        sched = build_tiers(
-            profiles, np.array([100.0, 100.0]), free_uplink_params(), delta_t_s=0.5
-        )
+        sched = build_tiers(np.array([0.5, 1.0]), delta_t_s=0.5)
         assert sched.tier_of == {0: 1, 1: 2}
 
     def test_interval_at_least_round_time(self):
-        profiles = [profile(0.7), profile(1.0)]
-        sched = build_tiers(
-            profiles, np.array([100.0, 100.0]), free_uplink_params(), delta_t_frac=1.5
-        )
+        sched = build_tiers(np.array([0.7, 1.0]), delta_t_frac=1.5)
         assert sched.num_tiers == 1
         assert sched.tier_of == {0: 1, 1: 1}
 
     def test_singleton_tiers_make_async_cadence(self):
         # one user per tier: the schedule fires each user at its own pace
-        profiles = [profile(0.05, 100.0), profile(0.10, 200.0), profile(0.15, 300.0)]
-        sched = build_tiers(
-            profiles, np.full(3, 100.0), free_uplink_params(), delta_t_s=0.05
-        )
+        sched = build_tiers(np.array([0.05, 0.10, 0.15]), delta_t_s=0.05)
         assert sched.num_tiers == 3
         assert sched.tier_of == {0: 1, 1: 2, 2: 3}
         assert [sched.users_in(m) for m in (1, 2, 3)] == [[0], [1], [2]]
@@ -153,7 +143,9 @@ class TestBuildTiers:
 
     def test_missing_interval(self):
         with pytest.raises(ValueError, match="delta_t"):
-            build_tiers([profile(1.0)], np.array([100.0]), free_uplink_params())
+            build_tiers(np.array([1.0]))
+        with pytest.raises(ValueError, match="no users"):
+            build_tiers(np.array([]), delta_t_s=1.0)
 
 
 class TestSetupScenario:
@@ -180,10 +172,7 @@ class TestSetupScenario:
             )
             assert sc.nominal_cycle[u] == expected
         assert sc.schedule.round_time == sc.nominal_cycle.max()
-        # the tiers built from the precomputed cycle match a fresh computation
-        assert sc.schedule == build_tiers(
-            sc.profiles, sc.distances, sc.params, delta_t_frac=BASE.delta_t_frac
-        )
+        assert sc.schedule == build_tiers(sc.nominal_cycle, delta_t_frac=BASE.delta_t_frac)
 
     def test_budget_semantics(self):
         sc = setup_scenario(BASE)
@@ -240,7 +229,8 @@ class TestTtfedLoop:
             (float(sc.data_sizes[u]), _train_user(sc, u, w0, 0))
             for u in sc.schedule.users_in(2)
         ]
-        expected = ttfed_global(2, 2, {2: ttfed_intra_tier(uploads)}, w_prev=w0)
+        # tier 1 is due but empty, so it keeps w0 under its weight
+        expected = fedat_aggregate([w0, fedavg_aggregate(uploads)], ttfed_tier_weights(2, 2))
         assert trace[1].tobytes() == expected.tobytes()
 
     def test_zero_weight_upload_flagged(self):
@@ -345,6 +335,21 @@ class TestFedasyncLoop:
         acc, loss = evaluate(w2, sc.test_images, sc.test_labels, sc.arch)
         assert metrics.evals[2].accuracy == acc
         assert metrics.evals[2].loss == loss
+
+    def test_failed_arrival_is_not_rescored(self, monkeypatch):
+        scored = []
+        evaluate_ = engine.evaluate
+
+        def counted(*args):
+            scored.append(1)
+            return evaluate_(*args)
+
+        monkeypatch.setattr(engine, "evaluate", counted)
+        cfg = toy_config(algorithm="fedasync", radius_m=900.0, snr_threshold_db=10.0)
+        metrics = run(cfg)
+        assert metrics.failed_total > 0 and metrics.success_total > 0
+        assert len(metrics.evals) == 1 + metrics.uplink_msgs  # eval_every = 1
+        assert len(scored) == 1 + metrics.success_total
 
     def test_unicast_per_arrival(self):
         cfg = toy_config(algorithm="fedasync")

@@ -8,7 +8,6 @@ must re-baseline on purpose.
 """
 
 import hashlib
-import warnings
 from dataclasses import replace
 from functools import lru_cache
 
@@ -80,9 +79,7 @@ GOLDEN = {
 
 @lru_cache(maxsize=None)
 def scenario(cfg: ScenarioConfig):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # substituted shard samples
-        return setup_scenario(cfg)
+    return setup_scenario(cfg)
 
 
 def config(case: str) -> ScenarioConfig:
