@@ -21,6 +21,8 @@ from .bound import BoundConstants, bound_table, check_conditions
 from .config import (
     ConfigError,
     ScenarioConfig,
+    _parse_opt_float,
+    _parse_targets,
     apply_overrides,
     load_config,
     parse_config_text,
@@ -162,42 +164,46 @@ def cmd_sweep(args) -> int:
     seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else None
     out = _out_dir(args)
 
-    runs = []
-    rows = []
+    # the whole grid is checked before the first run, so a bad value
+    # anywhere stops the sweep before it writes anything
+    grid = []
     for value in axis_values:
         # the axis value goes last, so it wins over an --override of its key
         cfg0 = load_config(args.config, (args.override or []) + [f"{axis_key}={value}"])
-        for seed in seeds or [cfg0.seed]:
-            cfg = with_updates(cfg0, seed=seed)
-            metrics = run(cfg)
-            tag = f"{axis_key.split('.')[-1]}_{value}_seed{seed}_{cfg.algorithm}"
-            csv_path, json_path = _write_run(os.path.join(out, "runs", tag), cfg, metrics)
-            runs.append(
-                {
-                    "axis_key": axis_key,
-                    "axis_value": value,
-                    "seed": seed,
-                    "config_hash": cfg.content_hash(),
-                    "metrics_csv": csv_path,
-                    "summary_json": json_path,
-                }
-            )
-            last = metrics.evals[-1]
-            rows.append(
-                [
-                    value,
-                    seed,
-                    metrics.algorithm,
-                    f"{last.accuracy:.6f}",
-                    f"{last.loss:.9g}",
-                    metrics.uplink_msgs,
-                    metrics.downlink_broadcasts,
-                    metrics.downlink_unicasts,
-                    metrics.num_tiers,
-                    f"{metrics.delta_t:.9g}",
-                ]
-            )
-            print(f"{axis_key}={value} seed={seed}: accuracy {last.accuracy:.4f}")
+        grid.extend((value, with_updates(cfg0, seed=seed)) for seed in seeds or [cfg0.seed])
+
+    runs = []
+    rows = []
+    for value, cfg in grid:
+        metrics = run(cfg)
+        tag = f"{axis_key.split('.')[-1]}_{value}_seed{cfg.seed}_{cfg.algorithm}"
+        csv_path, json_path = _write_run(os.path.join(out, "runs", tag), cfg, metrics)
+        runs.append(
+            {
+                "axis_key": axis_key,
+                "axis_value": value,
+                "seed": cfg.seed,
+                "config_hash": cfg.content_hash(),
+                "metrics_csv": csv_path,
+                "summary_json": json_path,
+            }
+        )
+        last = metrics.evals[-1]
+        rows.append(
+            [
+                value,
+                cfg.seed,
+                metrics.algorithm,
+                f"{last.accuracy:.6f}",
+                f"{last.loss:.9g}",
+                metrics.uplink_msgs,
+                metrics.downlink_broadcasts,
+                metrics.downlink_unicasts,
+                metrics.num_tiers,
+                f"{metrics.delta_t:.9g}",
+            ]
+        )
+        print(f"{axis_key}={value} seed={cfg.seed}: accuracy {last.accuracy:.4f}")
 
     comparison = os.path.join(out, "comparison.csv")
     manifest = os.path.join(out, "manifest.json")
@@ -235,11 +241,8 @@ _BOUND_KEYS = {
     "bound.local_gap": ("local_gap", float),
     "bound.initial_gap": ("initial_gap", float),
     "bound.num_tiers": ("num_tiers", int),
-    "bound.median_const": ("median_const", lambda s: None if s == "none" else float(s)),
-    "bound.failure_fractions": (
-        "failure_fractions",
-        lambda s: tuple(float(x) for x in s.split(",")) if s.strip() else (),
-    ),
+    "bound.median_const": ("median_const", _parse_opt_float),
+    "bound.failure_fractions": ("failure_fractions", _parse_targets),
     # the K values of the table, not a constant
     "bound.round_values": ("round_values", lambda s: [int(x) for x in s.split(",")]),
 }

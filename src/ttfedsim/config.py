@@ -12,7 +12,7 @@ import hashlib
 import math
 from dataclasses import dataclass, fields, replace
 
-from .learner import TrainConfig
+from .datagen import NUM_CLASSES
 from .wireless import ChannelParams
 
 ALGORITHMS = ("ttfed", "fedavg", "fedasync", "fedat")
@@ -72,6 +72,11 @@ class ScenarioConfig:
     hidden_width: int = 50
 
     def validate(self) -> None:
+        """Check every value's range; the only place that knows them.
+
+        Each error names its config key, so a bad value stops before
+        anything is built instead of failing later inside a layer.
+        """
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"sim.algorithm: unknown algorithm {self.algorithm!r}")
         if self.policy not in POLICIES:
@@ -80,30 +85,61 @@ class ScenarioConfig:
             raise ConfigError(f"sim.scheduling_fading: unknown mode {self.scheduling_fading!r}")
         if self.data_source not in DATA_SOURCES:
             raise ConfigError(f"data.source: unknown source {self.data_source!r}")
-        if self.users < 1:
-            raise ConfigError(f"sim.users: must be >= 1, got {self.users}")
-        if not self.radius_m > 0:
-            raise ConfigError(f"sim.radius_m: must be positive, got {self.radius_m}")
+        for key, value, low in (
+            ("sim.seed", self.seed, 0),
+            ("sim.users", self.users, 1),
+            ("sim.rounds", self.rounds, 0),
+            ("sim.eval_every", self.eval_every, 1),
+            ("sim.max_evals", self.max_evals, 1),
+            ("channel.path_loss_exponent", self.path_loss_exponent, 2),
+            ("channel.bits_per_param", self.bits_per_param, 1),
+            ("data.train_per_class", self.train_per_class, 1),
+            ("data.test_per_class", self.test_per_class, 1),
+            ("data.seed", self.data_seed, 0),
+            ("data.zipf_eta", self.zipf_eta, 0),
+            ("data.dirichlet_theta", self.dirichlet_theta, 0),
+            ("train.learning_rate", self.learning_rate, 0),
+            ("train.local_epochs", self.local_epochs, 1),
+            ("train.batch_size", self.batch_size, 1),
+            ("train.hidden_width", self.hidden_width, 1),
+        ):
+            if not value >= low:
+                raise ConfigError(f"{key}: must be >= {low}, got {value}")
+        for key, value in (
+            ("sim.radius_m", self.radius_m),
+            ("channel.tx_power_w", self.tx_power_w),
+            ("channel.total_bandwidth_hz", self.total_bandwidth_hz),
+            ("compute.cpu_freq_hz", self.cpu_freq_hz),
+            ("compute.cycles_per_sample", self.cycles_per_sample),
+        ):
+            if not value > 0:
+                raise ConfigError(f"{key}: must be positive, got {value}")
+        for key, value in (
+            ("channel.noise_psd_dbm_hz", self.noise_psd_dbm_hz),
+            ("channel.snr_threshold_db", self.snr_threshold_db),
+        ):
+            if not math.isfinite(value):
+                raise ConfigError(f"{key}: must be finite, got {value}")
+        train_size = NUM_CLASSES * self.train_per_class
+        if self.users > train_size:
+            raise ConfigError(
+                f"sim.users: cannot give {self.users} users >= 1 sample from {train_size} "
+                f"({NUM_CLASSES} classes x data.train_per_class)"
+            )
         if self.delta_t_s is None and self.delta_t_frac is None:
             raise ConfigError("sim.delta_t_s / sim.delta_t_frac: one must be set")
         if self.delta_t_s is not None and not self.delta_t_s > 0:
             raise ConfigError(f"sim.delta_t_s: must be positive, got {self.delta_t_s}")
         if self.delta_t_frac is not None and not self.delta_t_frac > 0:
             raise ConfigError(f"sim.delta_t_frac: must be positive, got {self.delta_t_frac}")
-        if self.rounds < 0:
-            raise ConfigError(f"sim.rounds: must be >= 0, got {self.rounds}")
-        if self.time_budget_s is not None and self.time_budget_s < 0:
+        if self.time_budget_s is not None and not self.time_budget_s >= 0:
             raise ConfigError(f"sim.time_budget_s: must be >= 0, got {self.time_budget_s}")
         if not 0.0 < self.psi < 1.0:
             raise ConfigError(f"sim.psi: must lie in (0, 1), got {self.psi}")
-        if self.eval_every < 1:
-            raise ConfigError(f"sim.eval_every: must be >= 1, got {self.eval_every}")
-        if self.max_evals < 1:
-            raise ConfigError(f"sim.max_evals: must be >= 1, got {self.max_evals}")
         for t in self.accuracy_targets:
             if not 0.0 <= t <= 1.0:
                 raise ConfigError(f"sim.accuracy_targets: target {t} outside [0, 1]")
-        if self.cpu_freq_max_hz is not None and self.cpu_freq_max_hz < self.cpu_freq_hz:
+        if self.cpu_freq_max_hz is not None and not self.cpu_freq_max_hz >= self.cpu_freq_hz:
             raise ConfigError(
                 "compute.cpu_freq_max_hz: must be >= compute.cpu_freq_hz "
                 f"({self.cpu_freq_max_hz} < {self.cpu_freq_hz})"
@@ -117,23 +153,6 @@ class ScenarioConfig:
             ):
                 if not value:
                     raise ConfigError(f"{key}: required when data.source = idx")
-        # positivity of the direct physical knobs
-        for key, value in (
-            ("channel.tx_power_w", self.tx_power_w),
-            ("channel.total_bandwidth_hz", self.total_bandwidth_hz),
-            ("compute.cpu_freq_hz", self.cpu_freq_hz),
-            ("compute.cycles_per_sample", self.cycles_per_sample),
-        ):
-            if not value > 0:
-                raise ConfigError(f"{key}: must be positive, got {value}")
-        if self.bits_per_param < 1:
-            raise ConfigError(f"channel.bits_per_param: must be >= 1, got {self.bits_per_param}")
-        if self.hidden_width < 1:
-            raise ConfigError(f"train.hidden_width: must be >= 1, got {self.hidden_width}")
-        try:
-            self.train_config()
-        except ValueError as exc:
-            raise ConfigError(f"train.*: {exc}") from exc
 
     def channel_params(self, model_bits: float) -> ChannelParams:
         """Physical parameters with dB keys converted to linear units."""
@@ -144,13 +163,6 @@ class ScenarioConfig:
             snr_threshold=10.0 ** (self.snr_threshold_db / 10.0),
             total_bandwidth=self.total_bandwidth_hz,
             model_bits=model_bits,
-        )
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            learning_rate=self.learning_rate,
-            local_epochs=self.local_epochs,
-            batch_size=self.batch_size,
         )
 
     def to_flat(self) -> dict[str, str]:

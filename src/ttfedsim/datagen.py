@@ -61,22 +61,6 @@ class LabeledDataset:
         return hist / hist.sum()
 
 
-@dataclass(frozen=True)
-class PartitionSpec:
-    num_users: int
-    zipf_eta: float = 0.0
-    dirichlet_theta: float = math.inf  # inf = uniform limit, 0 = one-class limit
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.num_users < 1:
-            raise ValueError(f"num_users must be >= 1, got {self.num_users}")
-        if self.zipf_eta < 0.0:
-            raise ValueError(f"zipf_eta must be >= 0, got {self.zipf_eta}")
-        if self.dirichlet_theta < 0.0:
-            raise ValueError(f"dirichlet_theta must be >= 0, got {self.dirichlet_theta}")
-
-
 @dataclass
 class UserShard:
     user_id: int
@@ -249,21 +233,31 @@ def _class_quotas(size: int, shares: np.ndarray, offset: int = 0) -> np.ndarray:
     return quotas
 
 
-def partition(dataset: LabeledDataset, spec: PartitionSpec) -> list[UserShard]:
+def partition(
+    dataset: LabeledDataset,
+    num_users: int,
+    zipf_eta: float = 0.0,
+    dirichlet_theta: float = math.inf,
+    seed: int = 0,
+) -> list[UserShard]:
     """Split the whole dataset into per-user shards under both skew models.
 
-    Deterministic given (dataset, spec). When a user's quota asks for more
-    of a class than remains in the pool, the deficit spills to the
-    globally most-abundant remaining class; the substitution count is kept
-    on the shard (`UserShard.substituted`) and a run reports the total as
-    `substituted_samples`.
+    Sizes follow `zipf_sizes(count, num_users, zipf_eta)` and each user's
+    classes `dirichlet_class_shares(dirichlet_theta, ...)` (inf = uniform
+    limit, 0 = one-class limit); those two check the arguments.
+
+    Deterministic given the dataset and the arguments. When a user's quota
+    asks for more of a class than remains in the pool, the deficit spills
+    to the globally most-abundant remaining class; the substitution count
+    is kept on the shard (`UserShard.substituted`) and a run reports the
+    total as `substituted_samples`.
     """
     if dataset.count == 0:
         raise ValueError("cannot partition an empty dataset")
     rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=spec.seed, spawn_key=(11,))
+        np.random.SeedSequence(entropy=seed, spawn_key=(11,))
     )
-    sizes = zipf_sizes(dataset.count, spec.num_users, spec.zipf_eta)
+    sizes = zipf_sizes(dataset.count, num_users, zipf_eta)
     priors = dataset.class_priors()
 
     pools = [list(np.flatnonzero(dataset.labels == c)) for c in range(NUM_CLASSES)]
@@ -278,8 +272,8 @@ def partition(dataset: LabeledDataset, spec: PartitionSpec) -> list[UserShard]:
 
     shards: list[UserShard] = []
     for uid, size in enumerate(sizes):
-        shares = dirichlet_class_shares(spec.dirichlet_theta, priors, rng)
-        quotas = _class_quotas(size, shares, offset=uid * NUM_CLASSES // spec.num_users)
+        shares = dirichlet_class_shares(dirichlet_theta, priors, rng)
+        quotas = _class_quotas(size, shares, offset=uid * NUM_CLASSES // num_users)
         chosen: list[int] = []
         deficit = 0
         for c in range(NUM_CLASSES):

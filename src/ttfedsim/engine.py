@@ -36,7 +36,6 @@ from .aggregation import (
 from .config import ScenarioConfig
 from .datagen import (
     LabeledDataset,
-    PartitionSpec,
     load_idx,
     partition,
     synthetic_digits,
@@ -53,7 +52,7 @@ from .streams import (
     derive_seed,
     substream,
 )
-from .wireless import ChannelParams, ComputeProfile
+from .wireless import ChannelParams
 
 _TIME_EPS = 1e-9
 
@@ -144,7 +143,6 @@ class Scenario:
     params: ChannelParams
     arch: MlpArch
     distances: np.ndarray  # per user, meters
-    profiles: list[ComputeProfile]
     shard_images: list[np.ndarray]
     shard_labels: list[np.ndarray]
     data_sizes: np.ndarray  # per user, samples
@@ -264,29 +262,19 @@ def setup_scenario(
     distances = place_users(cfg.users, cfg.radius_m, substream(cfg.seed, TAG_PLACEMENT))
     shards = partition(
         train,
-        PartitionSpec(
-            num_users=cfg.users,
-            zipf_eta=cfg.zipf_eta,
-            dirichlet_theta=cfg.dirichlet_theta,
-            seed=derive_seed(cfg.seed, TAG_PARTITION),
-        ),
+        cfg.users,
+        zipf_eta=cfg.zipf_eta,
+        dirichlet_theta=cfg.dirichlet_theta,
+        seed=derive_seed(cfg.seed, TAG_PARTITION),
     )
+    data_sizes = np.array([s.size for s in shards], dtype=np.float64)
     if cfg.cpu_freq_max_hz is not None:
         freqs = substream(cfg.seed, TAG_CPU).uniform(
             cfg.cpu_freq_hz, cfg.cpu_freq_max_hz, cfg.users
         )
     else:
         freqs = np.full(cfg.users, cfg.cpu_freq_hz)
-    profiles = [
-        ComputeProfile(
-            cpu_freq=float(freqs[u]),
-            cycles_per_sample=cfg.cycles_per_sample,
-            local_epochs=cfg.local_epochs,
-            dataset_size=shards[u].size,
-        )
-        for u in range(cfg.users)
-    ]
-    tau_cp = np.array([wireless.compute_delay(p) for p in profiles])
+    tau_cp = wireless.compute_delay(cfg.local_epochs, cfg.cycles_per_sample, data_sizes, freqs)
     # t_u: compute time plus upload time at an equal share B/U under mean fading
     share = params.total_bandwidth / cfg.users
     nominal_cycle = tau_cp + np.array(
@@ -305,10 +293,9 @@ def setup_scenario(
         params=params,
         arch=arch,
         distances=distances,
-        profiles=profiles,
         shard_images=[train.images[s.indices] for s in shards],
         shard_labels=[train.labels[s.indices] for s in shards],
-        data_sizes=np.array([s.size for s in shards], dtype=np.float64),
+        data_sizes=data_sizes,
         test_images=test.images,
         test_labels=test.labels,
         schedule=schedule,
@@ -327,9 +314,7 @@ def _eval_stride(expected_events: int, cfg: ScenarioConfig) -> int:
 
 def _train_user(sc: Scenario, u: int, w_src: np.ndarray, dispatch_idx: int) -> np.ndarray:
     rng = substream(sc.config.seed, TAG_TRAIN, u, dispatch_idx)
-    return local_update(
-        w_src, sc.shard_images[u], sc.shard_labels[u], sc.config.train_config(), rng, sc.arch
-    )
+    return local_update(w_src, sc.shard_images[u], sc.shard_labels[u], sc.config, rng, sc.arch)
 
 
 def _fading(sc: Scenario, u: int, event_idx: int) -> float:

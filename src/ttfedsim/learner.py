@@ -10,8 +10,13 @@ results bit-stable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .config import ScenarioConfig
+
 
 @dataclass(frozen=True)
 class MlpArch:
@@ -26,21 +31,6 @@ class MlpArch:
     @property
     def param_count(self) -> int:
         return self.in_dim * self.hidden + self.hidden + self.hidden * self.out_dim + self.out_dim
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    learning_rate: float = 0.01
-    local_epochs: int = 1
-    batch_size: int = 32
-
-    def __post_init__(self) -> None:
-        if self.learning_rate < 0.0:
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if self.local_epochs < 1:
-            raise ValueError(f"local_epochs must be >= 1, got {self.local_epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 def _views(w: np.ndarray, arch: MlpArch):
@@ -114,11 +104,15 @@ def local_update(
     w_in: np.ndarray,
     images: np.ndarray,
     labels: np.ndarray,
-    cfg: TrainConfig,
+    cfg: ScenarioConfig,
     rng: np.random.Generator,
     arch: MlpArch = MlpArch(),
 ) -> np.ndarray:
     """cfg.local_epochs passes of mini-batch SGD starting from w_in.
+
+    `cfg` supplies learning_rate, local_epochs and batch_size; a
+    `ScenarioConfig` has checked their ranges, so they are not checked
+    again here.
 
     With batch_size >= shard size one epoch is exactly one full-batch
     step w_in - lr * grad(w_in); the shuffle is skipped there so the

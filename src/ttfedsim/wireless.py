@@ -45,26 +45,6 @@ class ChannelParams:
             raise ValueError(f"model_bits must be >= 0, got {self.model_bits}")
 
 
-@dataclass(frozen=True)
-class ComputeProfile:
-    """Per-user local computation description."""
-
-    cpu_freq: float  # cycles/s
-    cycles_per_sample: float
-    local_epochs: int
-    dataset_size: int
-
-    def __post_init__(self) -> None:
-        if not self.cpu_freq > 0.0:
-            raise ValueError(f"cpu_freq must be positive, got {self.cpu_freq}")
-        if not self.cycles_per_sample > 0.0:
-            raise ValueError(f"cycles_per_sample must be positive, got {self.cycles_per_sample}")
-        if self.local_epochs < 1:
-            raise ValueError(f"local_epochs must be >= 1, got {self.local_epochs}")
-        if self.dataset_size < 0:
-            raise ValueError(f"dataset_size must be >= 0, got {self.dataset_size}")
-
-
 def path_loss(distance: float, exponent: float) -> float:
     """Non-singular power path loss min(1, d**-exponent)."""
     if distance < 0.0:
@@ -120,6 +100,14 @@ def success_given_fading(
     return fading >= fading_threshold(bandwidth, distance, params)
 
 
-def compute_delay(profile: ComputeProfile) -> float:
-    """Seconds for one local-update pass: epochs*cycles/sample*samples/freq."""
-    return profile.local_epochs * profile.cycles_per_sample * profile.dataset_size / profile.cpu_freq
+def compute_delay(
+    local_epochs: int,
+    cycles_per_sample: float,
+    dataset_size: float | np.ndarray,
+    cpu_freq: float | np.ndarray,
+) -> float | np.ndarray:
+    """Seconds for one local-update pass: epochs*cycles/sample*samples/freq.
+
+    Sizes and frequencies may be per-user arrays; the result then is too.
+    """
+    return local_epochs * cycles_per_sample * dataset_size / cpu_freq

@@ -274,6 +274,18 @@ class TestLoadBoundConstants:
         )
         assert constants.median_const is None and constants.xi == 0.5
 
+    @pytest.mark.parametrize("spelling", ["none", "None"])
+    def test_median_none_spellings_give_half_the_tiers(self, bound_cfg_file, spelling):
+        constants, _ = load_bound_constants(
+            bound_cfg_file,
+            overrides=[
+                f"bound.median_const={spelling}",
+                "bound.num_tiers=3",
+                "bound.failure_fractions=0.5,0.5,0.5",
+            ],
+        )
+        assert constants.median_const is None and constants.xi == 1.5
+
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "b.cfg"
         path.write_text(BOUND_CFG + "bound.mystery = 1\n")
@@ -344,3 +356,57 @@ class TestMainExitCodes:
             main(["--version"])
         assert exc.value.code == 0
         assert "ttfedsim" in capsys.readouterr().out
+
+
+# (override, the key the error must name); each one used to fail only once
+# the scenario was being built or run, with exit 1 and no key
+BAD_VALUES = [
+    ("train.learning_rate=-0.1", "train.learning_rate"),
+    ("train.local_epochs=0", "train.local_epochs"),
+    ("train.batch_size=0", "train.batch_size"),
+    ("data.zipf_eta=-1", "data.zipf_eta"),
+    ("data.dirichlet_theta=-0.1", "data.dirichlet_theta"),
+    ("channel.path_loss_exponent=1.9", "channel.path_loss_exponent"),
+    ("data.train_per_class=0", "data.train_per_class"),
+    ("data.test_per_class=0", "data.test_per_class"),
+    ("sim.users=41", "sim.users"),  # 4 samples per class: 40 in all
+    ("sim.seed=-1", "sim.seed"),
+    ("data.seed=-1", "data.seed"),
+]
+
+
+class TestBadValuesStopBeforeRunning:
+    @pytest.mark.parametrize("override,key", BAD_VALUES)
+    def test_run(self, toy_cfg_file, tmp_path, capsys, override, key):
+        out = tmp_path / "out"
+        rc = main(["run", "--config", toy_cfg_file, "--out-dir", str(out), "--override", override])
+        assert rc == 2
+        assert f"config error: {key}:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_checks_every_axis_value_first(self, toy_cfg_file, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--config", toy_cfg_file, "--axis", "data.zipf_eta=0,-1"]
+        rc = main(argv + ["--out-dir", str(out)])
+        assert rc == 2
+        assert "config error: data.zipf_eta:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_checks_every_seed_first(self, toy_cfg_file, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        rc = main(
+            [
+                "sweep",
+                "--config",
+                toy_cfg_file,
+                "--axis",
+                "sim.rounds=1",
+                "--seeds",
+                "1,-1",
+                "--out-dir",
+                str(out),
+            ]
+        )
+        assert rc == 2
+        assert "config error: sim.seed:" in capsys.readouterr().err
+        assert not out.exists()

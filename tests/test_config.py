@@ -100,36 +100,97 @@ class TestBuildConfig:
         assert cfg.seed == 7 and cfg.algorithm == "fedavg"
 
 
+# one row per range-checked key; each error names its key
+REJECTS = [
+    ({"algorithm": "sgd"}, "sim.algorithm"),
+    ({"policy": "random"}, "sim.policy"),
+    ({"scheduling_fading": "rician"}, "sim.scheduling_fading"),
+    ({"users": 0}, "sim.users"),
+    ({"radius_m": 0.0}, "sim.radius_m"),
+    ({"delta_t_frac": None, "delta_t_s": None}, "one must be set"),
+    ({"psi": 1.0}, "sim.psi"),
+    ({"rounds": -1}, "sim.rounds"),
+    ({"max_evals": 0}, "sim.max_evals"),
+    ({"accuracy_targets": (1.5,)}, "sim.accuracy_targets"),
+    ({"cpu_freq_hz": 2e9, "cpu_freq_max_hz": 1e9}, "cpu_freq_max_hz"),
+    ({"total_bandwidth_hz": 0.0}, "channel.total_bandwidth_hz"),
+    ({"bits_per_param": 0}, "channel.bits_per_param"),
+    ({"data_source": "csv"}, "data.source"),
+    ({"data_source": "idx"}, "data.train_images"),
+    ({"learning_rate": -0.1}, r"train\.learning_rate: must be >= 0"),
+    ({"hidden_width": 0}, r"train\.hidden_width: must be >= 1"),
+    ({"seed": -1}, r"sim\.seed: must be >= 0"),
+    ({"delta_t_s": 0.0}, r"sim\.delta_t_s: must be positive"),
+    ({"delta_t_frac": 0.0}, r"sim\.delta_t_frac: must be positive"),
+    ({"time_budget_s": -1.0}, r"sim\.time_budget_s: must be >= 0"),
+    ({"eval_every": 0}, r"sim\.eval_every: must be >= 1"),
+    ({"users": 3000}, r"sim\.users: cannot give 3000 users >= 1 sample from 2500"),
+    ({"path_loss_exponent": 1.9}, r"channel\.path_loss_exponent: must be >= 2"),
+    ({"noise_psd_dbm_hz": -math.inf}, r"channel\.noise_psd_dbm_hz: must be finite"),
+    ({"tx_power_w": 0.0}, r"channel\.tx_power_w: must be positive"),
+    ({"snr_threshold_db": math.nan}, r"channel\.snr_threshold_db: must be finite"),
+    ({"cpu_freq_hz": 0.0}, r"compute\.cpu_freq_hz: must be positive"),
+    ({"cycles_per_sample": 0.0}, r"compute\.cycles_per_sample: must be positive"),
+    ({"train_per_class": 0}, r"data\.train_per_class: must be >= 1"),
+    ({"test_per_class": 0}, r"data\.test_per_class: must be >= 1"),
+    ({"data_seed": -1}, r"data\.seed: must be >= 0"),
+    ({"zipf_eta": -1.0}, r"data\.zipf_eta: must be >= 0"),
+    ({"dirichlet_theta": -0.1}, r"data\.dirichlet_theta: must be >= 0"),
+    ({"data_source": "idx", "train_images_path": "i"}, r"data\.train_labels: required"),
+    (
+        {"data_source": "idx", "train_images_path": "i", "train_labels_path": "l"},
+        r"data\.test_images: required",
+    ),
+    (
+        {
+            "data_source": "idx",
+            "train_images_path": "i",
+            "train_labels_path": "l",
+            "test_images_path": "t",
+        },
+        r"data\.test_labels: required",
+    ),
+    ({"local_epochs": 0}, r"train\.local_epochs: must be >= 1"),
+    ({"batch_size": 0}, r"train\.batch_size: must be >= 1"),
+]
+
+# keys whose every parseable value is valid
+UNRANGED = {"sim.greedy_skip"}  # a boolean
+
+
 class TestValidate:
-    @pytest.mark.parametrize(
-        "updates,fragment",
-        [
-            ({"algorithm": "sgd"}, "sim.algorithm"),
-            ({"policy": "random"}, "sim.policy"),
-            ({"scheduling_fading": "rician"}, "sim.scheduling_fading"),
-            ({"users": 0}, "sim.users"),
-            ({"radius_m": 0.0}, "sim.radius_m"),
-            ({"delta_t_frac": None, "delta_t_s": None}, "one must be set"),
-            ({"psi": 1.0}, "sim.psi"),
-            ({"rounds": -1}, "sim.rounds"),
-            ({"max_evals": 0}, "sim.max_evals"),
-            ({"accuracy_targets": (1.5,)}, "sim.accuracy_targets"),
-            ({"cpu_freq_hz": 2e9, "cpu_freq_max_hz": 1e9}, "cpu_freq_max_hz"),
-            ({"total_bandwidth_hz": 0.0}, "channel.total_bandwidth_hz"),
-            ({"bits_per_param": 0}, "channel.bits_per_param"),
-            ({"data_source": "csv"}, "data.source"),
-            ({"data_source": "idx"}, "data.train_images"),
-            ({"learning_rate": -0.1}, "train"),
-            ({"hidden_width": 0}, r"train\.hidden_width: must be >= 1"),
-        ],
-    )
+    @pytest.mark.parametrize("updates,fragment", REJECTS)
     def test_rejects(self, updates, fragment):
         cfg = ScenarioConfig(**updates)
         with pytest.raises(ConfigError, match=fragment):
             cfg.validate()
 
+    def test_every_key_is_checked_or_exempt(self):
+        named = set()
+        for updates, _ in REJECTS:
+            with pytest.raises(ConfigError) as info:
+                ScenarioConfig(**updates).validate()
+            # "key: ..." or "key / key: ..."
+            named.update(str(info.value).split(": ")[0].split(" / "))
+        assert named <= set(_KEYS)
+        assert set(_KEYS) - named == UNRANGED
+
     def test_default_is_valid(self):
         ScenarioConfig().validate()
+
+    def test_bounds_are_inclusive(self):
+        ScenarioConfig(
+            seed=0,
+            data_seed=0,
+            users=2500,  # one sample each from 10 * 250
+            rounds=0,
+            time_budget_s=0.0,
+            path_loss_exponent=2.0,
+            zipf_eta=0.0,
+            dirichlet_theta=0.0,
+            learning_rate=0.0,  # a zero step is a legal no-op
+            cpu_freq_max_hz=1e9,
+        ).validate()
 
 
 class TestRoundTrip:

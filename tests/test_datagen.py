@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from ttfedsim.datagen import (
     IdxFormatError,
     LabeledDataset,
-    PartitionSpec,
     dirichlet_class_shares,
     load_idx,
     partition,
@@ -244,8 +243,7 @@ class TestPartition:
 
     def test_iid_balanced(self, balanced_2500):
         shards = partition(
-            balanced_2500,
-            PartitionSpec(num_users=20, zipf_eta=0.0, dirichlet_theta=math.inf, seed=3),
+            balanced_2500, num_users=20, zipf_eta=0.0, dirichlet_theta=math.inf, seed=3
         )
         assert len(shards) == 20
         assert all(s.size == 125 for s in shards)
@@ -259,8 +257,7 @@ class TestPartition:
 
     def test_disjoint_and_exhaustive(self, balanced_2500):
         shards = partition(
-            balanced_2500,
-            PartitionSpec(num_users=20, zipf_eta=1.0, dirichlet_theta=0.5, seed=3),
+            balanced_2500, num_users=20, zipf_eta=1.0, dirichlet_theta=0.5, seed=3
         )
         all_idx = np.concatenate([s.indices for s in shards])
         assert len(all_idx) == balanced_2500.count
@@ -268,8 +265,7 @@ class TestPartition:
 
     def test_one_class_limit(self, balanced_2500):
         shards = partition(
-            balanced_2500,
-            PartitionSpec(num_users=20, zipf_eta=0.0, dirichlet_theta=0.0, seed=3),
+            balanced_2500, num_users=20, zipf_eta=0.0, dirichlet_theta=0.0, seed=3
         )
         pure = [s for s in shards if s.substituted == 0]
         assert len(pure) >= 10  # pool collisions can force substitutes
@@ -280,20 +276,19 @@ class TestPartition:
     def test_substitution_counted(self, balanced_2500):
         # 20 one-class users over 10 classes of 250 always collide somewhere
         shards = partition(
-            balanced_2500,
-            PartitionSpec(num_users=20, zipf_eta=0.0, dirichlet_theta=0.0, seed=3),
+            balanced_2500, num_users=20, zipf_eta=0.0, dirichlet_theta=0.0, seed=3
         )
         assert sum(s.substituted for s in shards) > 0
 
     def test_single_user_gets_everything(self, balanced_2500):
-        shards = partition(balanced_2500, PartitionSpec(num_users=1, seed=0))
+        shards = partition(balanced_2500, num_users=1, seed=0)
         assert len(shards) == 1
         assert np.array_equal(shards[0].indices, np.arange(2500))
 
     def test_deterministic(self, balanced_2500):
-        spec = PartitionSpec(num_users=7, zipf_eta=0.8, dirichlet_theta=0.3, seed=11)
-        a = partition(balanced_2500, spec)
-        b = partition(balanced_2500, spec)
+        spec = dict(num_users=7, zipf_eta=0.8, dirichlet_theta=0.3, seed=11)
+        a = partition(balanced_2500, **spec)
+        b = partition(balanced_2500, **spec)
         for sa, sb in zip(a, b):
             assert np.array_equal(sa.indices, sb.indices)
             assert sa.substituted == sb.substituted
@@ -301,7 +296,7 @@ class TestPartition:
     def test_empty_dataset(self):
         ds = LabeledDataset(images=np.zeros((0, 4)), labels=np.zeros(0, dtype=np.int64))
         with pytest.raises(ValueError):
-            partition(ds, PartitionSpec(num_users=1, seed=0))
+            partition(ds, num_users=1, seed=0)
 
     @given(
         users=st.integers(min_value=1, max_value=10),
@@ -315,10 +310,7 @@ class TestPartition:
     def test_partition_properties(self, users, eta, theta, seed):
         train, _ = synthetic_digits(20, 1, seed=8)  # 200 samples
         shards = partition(
-            train,
-            PartitionSpec(
-                num_users=users, zipf_eta=eta, dirichlet_theta=theta, seed=seed
-            ),
+            train, num_users=users, zipf_eta=eta, dirichlet_theta=theta, seed=seed
         )
         all_idx = np.concatenate([s.indices for s in shards])
         assert len(all_idx) == 200
@@ -350,9 +342,11 @@ class TestDatasetTypes:
         assert priors.sum() == pytest.approx(1.0)
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            PartitionSpec(num_users=0)
-        with pytest.raises(ValueError):
-            PartitionSpec(num_users=1, zipf_eta=-1.0)
-        with pytest.raises(ValueError):
-            PartitionSpec(num_users=1, dirichlet_theta=-0.1)
+        # partition's arguments are checked where they are used
+        train, _ = synthetic_digits(1, 1, seed=0)
+        with pytest.raises(ValueError, match="num_users"):
+            partition(train, num_users=0)
+        with pytest.raises(ValueError, match="eta"):
+            partition(train, num_users=1, zipf_eta=-1.0)
+        with pytest.raises(ValueError, match="theta"):
+            partition(train, num_users=1, dirichlet_theta=-0.1)

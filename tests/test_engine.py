@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttfedsim import allocator, engine, wireless
 from ttfedsim.aggregation import (
@@ -14,7 +16,7 @@ from ttfedsim.aggregation import (
     fedavg_aggregate,
     ttfed_tier_weights,
 )
-from ttfedsim.config import ScenarioConfig, with_updates
+from ttfedsim.config import FADING_MODES, POLICIES, ScenarioConfig, with_updates
 from ttfedsim.engine import (
     RunMetrics,
     TierSchedule,
@@ -157,9 +159,10 @@ class TestSetupScenario:
         assert len(sc.shard_images) == 4
         for u in range(4):
             assert sc.shard_images[u].shape == (int(sc.data_sizes[u]), 784)
-            assert sc.tau_cp[u] == wireless.compute_delay(sc.profiles[u])
             assert 1 <= sc.schedule.tier_of[u] <= sc.schedule.num_tiers
         assert sc.test_images.shape == (50, 784)
+        epoch_cycles = BASE.local_epochs * BASE.cycles_per_sample
+        assert sc.tau_cp.tolist() == (epoch_cycles * sc.data_sizes / BASE.cpu_freq_hz).tolist()
 
     def test_nominal_cycle_definition(self):
         sc = setup_scenario(BASE)
@@ -189,7 +192,8 @@ class TestSetupScenario:
 
     def test_cpu_range_draw(self):
         sc = setup_scenario(toy_config(cpu_freq_hz=1e9, cpu_freq_max_hz=5e9))
-        freqs = np.array([p.cpu_freq for p in sc.profiles])
+        cfg = sc.config
+        freqs = cfg.local_epochs * cfg.cycles_per_sample * sc.data_sizes / sc.tau_cp
         assert (freqs >= 1e9).all() and (freqs <= 5e9).all()
         assert len(np.unique(freqs)) == 4
 
@@ -509,3 +513,41 @@ class TestSuccessFrequency:
         assert ok + fail == n
         chi2 = (ok - n * p) ** 2 / (n * p) + (fail - n * (1 - p)) ** 2 / (n * (1 - p))
         assert chi2 < 6.635  # 99% quantile, 1 degree of freedom
+
+
+class TestInvariants:
+    """Counters and clocks that must hold for any scenario and algorithm."""
+
+    @given(
+        users=st.integers(1, 8),
+        train_per_class=st.integers(1, 20),
+        rounds=st.integers(0, 6),
+        delta_t_frac=st.floats(0.1, 1.0),
+        radius_m=st.floats(10.0, 1200.0),
+        zipf_eta=st.floats(0.0, 2.0),
+        dirichlet_theta=st.one_of(st.just(math.inf), st.just(0.0), st.floats(0.01, 10.0)),
+        policy=st.sampled_from(POLICIES),
+        scheduling_fading=st.sampled_from(FADING_MODES),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_counts_and_clock(self, **drawn):
+        cfg = ScenarioConfig(
+            **drawn,
+            test_per_class=2,
+            hidden_width=4,
+            snr_threshold_db=10.0,
+            cpu_freq_max_hz=5e9,
+        )
+        sc = setup_scenario(cfg)
+        for algorithm in ("ttfed", "fedavg", "fedasync", "fedat"):
+            trace = []
+            metrics = run(replace(cfg, algorithm=algorithm), scenario=sc, trace=trace)
+            events = len(trace)
+            assert metrics.uplink_msgs == metrics.success_total + metrics.failed_total
+            if algorithm == "fedavg":
+                assert metrics.uplink_msgs == events * cfg.users
+            times = [p.time_s for p in metrics.evals]
+            assert times == sorted(times)
+            assert times[-1] <= sc.budget_s + 1e-9 * max(1.0, sc.budget_s)
+            assert metrics.evals[-1].round == events

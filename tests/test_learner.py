@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from ttfedsim.config import ScenarioConfig
 from ttfedsim.learner import (
     MlpArch,
-    TrainConfig,
     class_probabilities,
     evaluate,
     init_params,
@@ -35,15 +35,6 @@ class TestArchitecture:
     def test_bad_sizes(self):
         with pytest.raises(ValueError):
             MlpArch(in_dim=0)
-
-    def test_config_validation(self):
-        TrainConfig(learning_rate=0.0)  # zero step is a legal no-op
-        with pytest.raises(ValueError):
-            TrainConfig(learning_rate=-0.1)
-        with pytest.raises(ValueError):
-            TrainConfig(local_epochs=0)
-        with pytest.raises(ValueError):
-            TrainConfig(batch_size=0)
 
 
 class TestInit:
@@ -132,7 +123,7 @@ class TestLocalUpdate:
         images, labels = random_batch(10, 5)
         w = init_params(5)
         out = local_update(
-            w, images, labels, TrainConfig(learning_rate=0.0), np.random.default_rng(0)
+            w, images, labels, ScenarioConfig(learning_rate=0.0), np.random.default_rng(0)
         )
         assert np.array_equal(out, w)
         assert out is not w
@@ -140,7 +131,7 @@ class TestLocalUpdate:
     def test_full_batch_single_step_exact(self):
         images, labels = random_batch(10, 6)
         w = init_params(6)
-        cfg = TrainConfig(learning_rate=0.05, local_epochs=1, batch_size=10)
+        cfg = ScenarioConfig(learning_rate=0.05, local_epochs=1, batch_size=10)
         out = local_update(w, images, labels, cfg, np.random.default_rng(0))
         _, grad = loss_and_gradient(w, images, labels)
         assert np.array_equal(out, w - 0.05 * grad)
@@ -149,10 +140,10 @@ class TestLocalUpdate:
         images, labels = random_batch(10, 6)
         w = init_params(6)
         a = local_update(
-            w, images, labels, TrainConfig(batch_size=10), np.random.default_rng(0)
+            w, images, labels, ScenarioConfig(batch_size=10), np.random.default_rng(0)
         )
         b = local_update(
-            w, images, labels, TrainConfig(batch_size=999), np.random.default_rng(1)
+            w, images, labels, ScenarioConfig(batch_size=999), np.random.default_rng(1)
         )
         assert np.array_equal(a, b)
 
@@ -161,7 +152,7 @@ class TestLocalUpdate:
         images, labels = random_batch(20, 300 + seed)
         w = init_params(seed)
         loss_before, _ = loss_and_gradient(w, images, labels)
-        cfg = TrainConfig(learning_rate=0.01, local_epochs=1, batch_size=20)
+        cfg = ScenarioConfig(learning_rate=0.01, local_epochs=1, batch_size=20)
         out = local_update(w, images, labels, cfg, np.random.default_rng(0))
         loss_after, _ = loss_and_gradient(out, images, labels)
         assert loss_after < loss_before
@@ -169,7 +160,7 @@ class TestLocalUpdate:
     def test_shuffled_minibatches_deterministic(self):
         images, labels = random_batch(30, 7)
         w = init_params(7)
-        cfg = TrainConfig(learning_rate=0.02, local_epochs=3, batch_size=8)
+        cfg = ScenarioConfig(learning_rate=0.02, local_epochs=3, batch_size=8)
         a = local_update(w, images, labels, cfg, np.random.default_rng(99))
         b = local_update(w, images, labels, cfg, np.random.default_rng(99))
         c = local_update(w, images, labels, cfg, np.random.default_rng(100))
@@ -179,7 +170,7 @@ class TestLocalUpdate:
     def test_updates_stay_finite(self):
         images, labels = random_batch(30, 8)
         w = init_params(8)
-        cfg = TrainConfig(learning_rate=0.5, local_epochs=5, batch_size=8)
+        cfg = ScenarioConfig(learning_rate=0.5, local_epochs=5, batch_size=8)
         out = local_update(w, images, labels, cfg, np.random.default_rng(0))
         assert np.isfinite(out).all()
 
@@ -189,7 +180,7 @@ class TestLocalUpdate:
                 init_params(0),
                 np.zeros((0, 784)),
                 np.zeros(0, dtype=int),
-                TrainConfig(),
+                ScenarioConfig(),
                 np.random.default_rng(0),
             )
 
@@ -219,7 +210,7 @@ class TestEvaluate:
     def test_trained_beats_chance(self):
         images, labels = random_batch(50, 10)
         w = init_params(10)
-        cfg = TrainConfig(learning_rate=0.5, local_epochs=40, batch_size=50)
+        cfg = ScenarioConfig(learning_rate=0.5, local_epochs=40, batch_size=50)
         out = local_update(w, images, labels, cfg, np.random.default_rng(0))
         acc_after, _ = evaluate(out, images, labels)
         assert acc_after > 0.5  # memorizes a 50-sample batch

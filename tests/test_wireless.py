@@ -7,7 +7,6 @@ import pytest
 
 from ttfedsim.wireless import (
     ChannelParams,
-    ComputeProfile,
     achievable_rate,
     comm_delay,
     compute_delay,
@@ -187,25 +186,19 @@ class TestSuccessProbability:
 
 class TestComputeDelay:
     def test_reference_point(self):
-        prof = ComputeProfile(
-            cpu_freq=1e9, cycles_per_sample=5e5, local_epochs=1, dataset_size=125
-        )
-        assert compute_delay(prof) == pytest.approx(0.0625, rel=1e-15)
+        assert compute_delay(1, 5e5, 125, 1e9) == pytest.approx(0.0625, rel=1e-15)
 
     def test_empty_shard(self):
-        prof = ComputeProfile(
-            cpu_freq=1e9, cycles_per_sample=5e5, local_epochs=1, dataset_size=0
-        )
-        assert compute_delay(prof) == 0.0
+        assert compute_delay(1, 5e5, 0, 1e9) == 0.0
 
     def test_doubling_epochs_doubles_delay(self):
-        one = ComputeProfile(
-            cpu_freq=1e9, cycles_per_sample=5e5, local_epochs=1, dataset_size=125
-        )
-        two = ComputeProfile(
-            cpu_freq=1e9, cycles_per_sample=5e5, local_epochs=2, dataset_size=125
-        )
-        assert compute_delay(two) == 2.0 * compute_delay(one)
+        assert compute_delay(2, 5e5, 125, 1e9) == 2.0 * compute_delay(1, 5e5, 125, 1e9)
+
+    def test_per_user_arrays(self):
+        sizes = np.array([0.0, 125.0, 250.0])
+        freqs = np.array([1e9, 1e9, 2e9])
+        delays = compute_delay(3, 5e5, sizes, freqs)
+        assert delays.tolist() == [compute_delay(3, 5e5, n, f) for n, f in zip(sizes, freqs)]
 
 
 class TestValidation:
@@ -246,16 +239,3 @@ class TestValidation:
                 total_bandwidth=1e6,
                 model_bits=-1.0,
             )
-
-    def test_compute_profile_validation(self):
-        good = dict(cpu_freq=1e9, cycles_per_sample=5e5, local_epochs=1, dataset_size=10)
-        for field, bad in (
-            ("cpu_freq", 0.0),
-            ("cycles_per_sample", 0.0),
-            ("local_epochs", 0),
-            ("dataset_size", -1),
-        ):
-            kwargs = dict(good)
-            kwargs[field] = bad
-            with pytest.raises(ValueError, match=field):
-                ComputeProfile(**kwargs)
