@@ -57,8 +57,8 @@ def main() -> None:
     )
     scenario = setup_scenario(cfg)
     print(
-        f"tiers={scenario.schedule.num_tiers}"
-        f" interval={scenario.schedule.delta_t:.4g}s"
+        f"tiers={scenario.num_tiers}"
+        f" interval={scenario.delta_t:.4g}s"
         f" budget={scenario.budget_s:.4g}s"
     )
 

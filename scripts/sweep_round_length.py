@@ -43,7 +43,7 @@ def main() -> None:
     fracs = [float(x) for x in args.fracs.split(",")]
 
     # T depends only on the population, not the interval, so probe it once.
-    cycle_t = setup_scenario(base).schedule.round_time
+    cycle_t = setup_scenario(base).round_time
     budget_s = args.budget_cycles * cycle_t
     print(f"slowest cycle T={cycle_t:.4g}s, budget={budget_s:.4g}s")
 
@@ -56,7 +56,7 @@ def main() -> None:
         peak = max(point.accuracy for point in metrics.evals)
         rounds = metrics.evals[-1].round if metrics.evals else 0
         downlinks = metrics.downlink_broadcasts + metrics.downlink_unicasts
-        print(f"{frac:>5.2f} {scenario.schedule.num_tiers:>5} {rounds:>6} "
+        print(f"{frac:>5.2f} {scenario.num_tiers:>5} {rounds:>6} "
               f"{metrics.final_accuracy:>7.4f} {peak:>7.4f} "
               f"{metrics.uplink_msgs:>8} {downlinks:>9}")
 

@@ -34,7 +34,6 @@ class QualifiedUser:
     """A user allowed and able to upload this round, with its optimum."""
 
     user_id: int
-    tier: int
     data_size: float
     alpha: float  # aggregation weight of its tier this round
     slack: float  # seconds left for the upload itself
@@ -89,7 +88,6 @@ def contribution_weight(
 
 def qualify(
     user_id: int,
-    tier: int,
     data_size: float,
     alpha: float,
     slack: float,
@@ -107,7 +105,6 @@ def qualify(
     weight = contribution_weight(alpha, data_size, b, distance, params)
     return QualifiedUser(
         user_id=user_id,
-        tier=tier,
         data_size=data_size,
         alpha=alpha,
         slack=slack,
@@ -147,16 +144,15 @@ def equal_share_plan(
 
     Picks the largest n such that at b = budget/n at least n qualified
     users still make their deadline, then selects the n highest weights
-    among them (ties to the lower id). Weights are re-ranked at the
-    common bandwidth since the per-user optimum no longer applies.
+    among them (ties to the lower id). A user makes its deadline at b
+    when its cheapest deadline-meeting bandwidth `q.bandwidth` fits in
+    b, since the upload delay falls as bandwidth grows. Weights are
+    re-ranked at the common bandwidth since the per-user optimum no
+    longer applies.
     """
     for n in range(len(qualified), 0, -1):
         share = budget / n
-        feasible = [
-            q
-            for q in qualified
-            if wireless.comm_delay(share, q.gain_power, params) <= q.slack
-        ]
+        feasible = [q for q in qualified if q.bandwidth <= share]
         if len(feasible) >= n:
             ranked = sorted(
                 feasible,

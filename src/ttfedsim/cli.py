@@ -161,7 +161,10 @@ def _parse_axis(spec: str) -> tuple[str, list[str]]:
 
 def cmd_sweep(args) -> int:
     axis_key, axis_values = _parse_axis(args.axis)
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else None
+    try:
+        seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else None
+    except ValueError as exc:
+        raise ConfigError(f"--seeds: cannot parse {args.seeds!r} ({exc})") from None
     out = _out_dir(args)
 
     # the whole grid is checked before the first run, so a bad value

@@ -63,9 +63,7 @@ class LabeledDataset:
 
 @dataclass
 class UserShard:
-    user_id: int
     indices: np.ndarray  # positions into the parent dataset
-    class_histogram: np.ndarray  # length NUM_CLASSES, sums to len(indices)
     substituted: int = 0  # samples that had to come from a different class
 
     @property
@@ -288,14 +286,5 @@ def partition(
             got = min(deficit, avail[c])
             take(c, got, chosen)
             deficit -= got
-        indices = np.array(sorted(chosen), dtype=np.int64)
-        hist = np.bincount(dataset.labels[indices], minlength=NUM_CLASSES)
-        shards.append(
-            UserShard(
-                user_id=uid,
-                indices=indices,
-                class_histogram=hist,
-                substituted=substituted,
-            )
-        )
+        shards.append(UserShard(np.array(sorted(chosen), dtype=np.int64), substituted))
     return shards

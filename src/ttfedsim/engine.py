@@ -1,4 +1,4 @@
-"""Run orchestration: the tier structure and one cohort-event loop.
+"""Run orchestration: scenario setup, tiers and one cohort-event loop.
 
 Every algorithm is the same loop: at each event a cohort of users
 finishes its local cycle, their fading is drawn, a merge rule updates the
@@ -21,7 +21,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field, fields
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .aggregation import (
     fedat_aggregate,
     ttfed_tier_weights,
 )
-from .config import ScenarioConfig
+from .config import ConfigError, ScenarioConfig
 from .datagen import (
     LabeledDataset,
     load_idx,
@@ -148,17 +148,28 @@ class Scenario:
     data_sizes: np.ndarray  # per user, samples
     test_images: np.ndarray
     test_labels: np.ndarray
-    schedule: TierSchedule
     tau_cp: np.ndarray  # per user, seconds
     nominal_cycle: np.ndarray  # per user t_u at equal-share bandwidth
+    delta_t: float  # seconds per global round
+    tier_of: np.ndarray  # per user tier, 1..M; uploads at rounds k with k % m == 0
     substituted_samples: int
+
+    @property
+    def num_tiers(self) -> int:
+        """M; the slowest user is always in the last tier."""
+        return int(self.tier_of.max())
+
+    @property
+    def round_time(self) -> float:
+        """T, the slowest user's nominal cycle."""
+        return float(self.nominal_cycle.max())
 
     @property
     def budget_s(self) -> float:
         cfg = self.config
         if cfg.time_budget_s is not None:
             return cfg.time_budget_s
-        return cfg.rounds * self.schedule.delta_t
+        return cfg.rounds * self.delta_t
 
 
 def place_users(num_users: int, radius: float, rng: np.random.Generator) -> np.ndarray:
@@ -170,82 +181,45 @@ def place_users(num_users: int, radius: float, rng: np.random.Generator) -> np.n
     return radius * np.sqrt(rng.random(num_users))
 
 
-def _ceil_with_boundary(x: float) -> int:
+def _ceil_with_boundary(x: np.ndarray) -> np.ndarray:
     """ceil(x), except values within 1e-9 relative of an integer round down.
 
     A cycle that fits an interval exactly belongs to that interval, and
     float noise must not bump it into the next tier.
     """
-    nearest = round(x)
-    if nearest >= 1 and abs(x - nearest) <= 1e-9 * max(1.0, abs(x)):
-        return int(nearest)
-    return int(math.ceil(x))
-
-
-@dataclass(frozen=True)
-class TierSchedule:
-    """Static tier structure: who is in which tier, and the round interval.
-
-    Tier ids are 1-based; tier m uploads at global rounds k with k % m == 0
-    and needs m rounds for one local cycle.
-    """
-
-    num_tiers: int
-    tier_of: Mapping[int, int]  # user_id -> tier
-    delta_t: float  # seconds per global round
-    round_time: float  # T, the slowest user's single-cycle time
-
-    def __post_init__(self) -> None:
-        if self.num_tiers < 1:
-            raise ValueError(f"num_tiers must be >= 1, got {self.num_tiers}")
-        if not self.delta_t > 0.0:
-            raise ValueError(f"delta_t must be positive, got {self.delta_t}")
-        bad = {u: m for u, m in self.tier_of.items() if not 1 <= m <= self.num_tiers}
-        if bad:
-            raise ValueError(f"tier assignments outside 1..{self.num_tiers}: {bad}")
-
-    def users_in(self, tier: int) -> list[int]:
-        return sorted(u for u, m in self.tier_of.items() if m == tier)
-
-    def due_tiers(self, k: int) -> list[int]:
-        """Tiers whose upload lands exactly on round k."""
-        return [m for m in range(1, self.num_tiers + 1) if k % m == 0]
+    nearest = np.round(x)
+    snap = (nearest >= 1) & (np.abs(x - nearest) <= 1e-9 * np.maximum(1.0, np.abs(x)))
+    return np.where(snap, nearest, np.ceil(x)).astype(np.int64)
 
 
 def build_tiers(
     cycle: np.ndarray, delta_t_s: float | None = None, delta_t_frac: float | None = None
-) -> TierSchedule:
-    """Group users by how many global rounds one local cycle needs.
+) -> tuple[float, np.ndarray]:
+    """The round interval and each user's tier, from the nominal cycles.
 
     `cycle` holds each user's nominal cycle t_u. T = max t_u; the
     interval is either given in seconds or as a fraction of T; user u
-    joins tier ceil(t_u / delta_t) and M = ceil(T / delta_t).
+    joins tier ceil(t_u / delta_t), so the slowest user's tier is
+    M = ceil(T / delta_t).
     """
     if len(cycle) == 0:
         raise ValueError("no users")
-    slowest = float(cycle.max())
     if delta_t_s is not None:
         delta = delta_t_s
     elif delta_t_frac is not None:
-        delta = delta_t_frac * slowest
+        delta = delta_t_frac * float(cycle.max())
     else:
         raise ValueError("either delta_t_s or delta_t_frac is required")
-    num_tiers = _ceil_with_boundary(slowest / delta)
-    tier_of = {
-        u: min(num_tiers, _ceil_with_boundary(float(t) / delta)) for u, t in enumerate(cycle)
-    }
-    return TierSchedule(
-        num_tiers=num_tiers,
-        tier_of=tier_of,
-        delta_t=delta,
-        round_time=slowest,
-    )
+    return delta, _ceil_with_boundary(cycle / delta)
 
 
 def _load_datasets(cfg: ScenarioConfig) -> tuple[LabeledDataset, LabeledDataset]:
     if cfg.data_source == "idx":
         train_full = load_idx(cfg.train_images_path, cfg.train_labels_path)
-        train = training_subset(train_full, cfg.train_per_class)
+        try:
+            train = training_subset(train_full, cfg.train_per_class)
+        except ValueError as exc:
+            raise ConfigError(f"data.train_per_class: {cfg.train_labels_path}: {exc}") from exc
         test = load_idx(cfg.test_images_path, cfg.test_labels_path)
         return train, test
     return synthetic_digits(cfg.train_per_class, cfg.test_per_class, cfg.data_seed)
@@ -285,7 +259,7 @@ def setup_scenario(
             for d in distances
         ]
     )
-    schedule = build_tiers(
+    delta_t, tier_of = build_tiers(
         nominal_cycle, delta_t_s=cfg.delta_t_s, delta_t_frac=cfg.delta_t_frac
     )
     return Scenario(
@@ -298,9 +272,10 @@ def setup_scenario(
         data_sizes=data_sizes,
         test_images=test.images,
         test_labels=test.labels,
-        schedule=schedule,
         tau_cp=tau_cp,
         nominal_cycle=nominal_cycle,
+        delta_t=delta_t,
+        tier_of=tier_of,
         substituted_samples=sum(s.substituted for s in shards),
     )
 
@@ -357,8 +332,8 @@ class _Rule:
         self.sc = sc
         self.zero_weight_uploads = 0
         self.share = sc.params.total_bandwidth / sc.config.users
-        tiers = range(1, sc.schedule.num_tiers + 1)
-        self.tier_users = {m: sc.schedule.users_in(m) for m in tiers}
+        tiers = range(1, sc.num_tiers + 1)
+        self.tier_users = {m: np.flatnonzero(sc.tier_of == m).tolist() for m in tiers}
 
     def cohort(self, key, index: int) -> list[int]:
         """Users whose cycle ends at this event."""
@@ -394,31 +369,30 @@ class _TtFed(_Rule):
 
     def __init__(self, sc: Scenario, w0: np.ndarray) -> None:
         super().__init__(sc, w0)
-        self.periods = {None: sc.schedule.delta_t}
+        self.periods = {None: sc.delta_t}
 
     def cohort(self, key, k: int) -> list[int]:
         """Users of the tiers due at round k; also fixes the round's tier weights."""
-        num_tiers = self.sc.schedule.num_tiers
+        num_tiers = len(self.tier_users)
         if self.sc.config.policy == "equal_weight":
             self.weights = np.full(num_tiers, 1.0 / num_tiers)
         else:
             self.weights = ttfed_tier_weights(k, num_tiers)
-        return [u for m in self.sc.schedule.due_tiers(k) for u in self.tier_users[m]]
+        return [u for m, users in self.tier_users.items() if k % m == 0 for u in users]
 
     def uploaders(self, k: int, users: list[int], fading: dict[int, float]) -> dict[int, float]:
         sc, params = self.sc, self.sc.params
         qualified = []
         for u in users:
-            m = sc.schedule.tier_of[u]
+            m = int(sc.tier_of[u])
             gain = wireless.path_loss(float(sc.distances[u]), params.path_loss_exponent)
             if sc.config.scheduling_fading == "realization":
                 gain *= fading[u]
             q = allocator.qualify(
                 user_id=u,
-                tier=m,
                 data_size=float(sc.data_sizes[u]),
                 alpha=float(self.weights[m - 1]),
-                slack=m * sc.schedule.delta_t - float(sc.tau_cp[u]),
+                slack=m * sc.delta_t - float(sc.tau_cp[u]),
                 gain_power=gain,
                 distance=float(sc.distances[u]),
                 params=params,
@@ -439,7 +413,7 @@ class _TtFed(_Rule):
         """
         by_tier: dict[int, list[int]] = {}
         for u in survivors:
-            by_tier.setdefault(self.sc.schedule.tier_of[u], []).append(u)
+            by_tier.setdefault(int(self.sc.tier_of[u]), []).append(u)
         for m, users in by_tier.items():
             if self.weights[m - 1] == 0.0:
                 self.zero_weight_uploads += len(users)
@@ -457,7 +431,7 @@ class _FedAvg(_Rule):
 
     def __init__(self, sc: Scenario, w0: np.ndarray) -> None:
         super().__init__(sc, w0)
-        self.periods = {None: sc.schedule.round_time}
+        self.periods = {None: sc.round_time}
         self.members = {None: list(range(sc.config.users))}
 
     def merge(self, key, index, w, survivors, upload):
@@ -537,8 +511,7 @@ def run(
 
     w = init_params(derive_seed(cfg.seed, TAG_INIT), sc.arch)
     rule = rule_type(sc, w)
-    schedule = sc.schedule
-    metrics = RunMetrics(cfg.algorithm, schedule.num_tiers, schedule.delta_t, schedule.round_time)
+    metrics = RunMetrics(cfg.algorithm, sc.num_tiers, sc.delta_t, sc.round_time)
     metrics.substituted_samples = sc.substituted_samples
     budget = sc.budget_s
     stride = _eval_stride(

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-_INV_E = math.exp(-1.0)
 _MAX_HALLEY = 100
 _REL_RESIDUAL = 1e-12
 

@@ -164,7 +164,7 @@ def test_05_single_tier_reduces_to_sync():
             batch_size=25,
         )
         sc = setup_scenario(cfg)
-        assert sc.schedule.num_tiers == 1
+        assert sc.num_tiers == 1
         trace_tt: list[np.ndarray] = []
         trace_fa: list[np.ndarray] = []
         m_tt = run(cfg, sc, trace=trace_tt)
@@ -187,7 +187,7 @@ def test_06_tier_count_mapping():
                 test_per_class=10,
             )
             sc = setup_scenario(cfg)
-            assert sc.schedule.num_tiers == want, (frac, sc.schedule.num_tiers)
+            assert sc.num_tiers == want, (frac, sc.num_tiers)
 
 
 def test_07_gradient_finite_difference():
@@ -223,7 +223,6 @@ def _random_qualified(rng, params, users, interval):
         tau_cp = float(rng.uniform(0.1, 1.2)) * tier * interval
         q = qualify(
             user_id=u,
-            tier=tier,
             data_size=float(rng.integers(10, 400)),
             alpha=float(rng.uniform(0.05, 1.0)),
             slack=tier * interval - tau_cp,

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ttfedsim import wireless
@@ -154,26 +154,25 @@ class TestContributionWeight:
 
 class TestQualify:
     def test_normal_user(self, radio):
-        q = qualify(3, 2, 125.0, 0.4, SLACK, GAIN, 100.0, radio)
+        q = qualify(3, 125.0, 0.4, SLACK, GAIN, 100.0, radio)
         assert q is not None
-        assert q.user_id == 3 and q.tier == 2
+        assert q.user_id == 3
         assert q.lam == lambda_coeff(radio.model_bits, SLACK, GAIN, radio)
         assert q.bandwidth == optimal_bandwidth(q.lam, radio.model_bits, SLACK)
         assert q.weight == contribution_weight(0.4, 125.0, q.bandwidth, 100.0, radio)
 
     def test_no_slack_disqualifies(self, radio):
-        assert qualify(0, 1, 125.0, 0.5, 0.0, GAIN, 100.0, radio) is None
-        assert qualify(0, 1, 125.0, 0.5, -0.2, GAIN, 100.0, radio) is None
+        assert qualify(0, 125.0, 0.5, 0.0, GAIN, 100.0, radio) is None
+        assert qualify(0, 125.0, 0.5, -0.2, GAIN, 100.0, radio) is None
 
     def test_capacity_disqualifies(self, radio):
         # gain so weak that even infinite bandwidth misses the deadline
-        assert qualify(0, 1, 125.0, 0.5, SLACK, 1e-13, 100.0, radio) is None
+        assert qualify(0, 125.0, 0.5, SLACK, 1e-13, 100.0, radio) is None
 
 
 def mk_q(uid, weight, bandwidth):
     return QualifiedUser(
         user_id=uid,
-        tier=1,
         data_size=125.0,
         alpha=0.5,
         slack=SLACK,
@@ -263,7 +262,7 @@ class TestSelectUsers:
 
 class TestEqualShare:
     def test_everyone_when_budget_ample(self, radio):
-        qs = [qualify(i, 1, 125.0, 0.5, SLACK, GAIN, 100.0, radio) for i in range(4)]
+        qs = [qualify(i, 125.0, 0.5, SLACK, GAIN, 100.0, radio) for i in range(4)]
         plan = equal_share_plan(qs, radio.total_bandwidth, radio)
         assert plan.selected == [0, 1, 2, 3]
         share = radio.total_bandwidth / 4
@@ -274,9 +273,9 @@ class TestEqualShare:
         # one user's slack is so small that only a big share can make it
         tight = 1.05 * wireless.comm_delay(radio.total_bandwidth / 2, GAIN, radio)
         qs = [
-            qualify(0, 1, 125.0, 0.5, SLACK, GAIN, 100.0, radio),
-            qualify(1, 1, 125.0, 0.5, SLACK, GAIN, 100.0, radio),
-            qualify(2, 1, 125.0, 0.5, tight, GAIN, 100.0, radio),
+            qualify(0, 125.0, 0.5, SLACK, GAIN, 100.0, radio),
+            qualify(1, 125.0, 0.5, SLACK, GAIN, 100.0, radio),
+            qualify(2, 125.0, 0.5, tight, GAIN, 100.0, radio),
         ]
         plan = equal_share_plan(qs, radio.total_bandwidth, radio)
         assert len(plan.selected) == 2
@@ -290,13 +289,50 @@ class TestEqualShare:
         plan = equal_share_plan([], radio.total_bandwidth, radio)
         assert plan.selected == []
 
+    @given(
+        users=st.lists(
+            st.tuples(
+                st.floats(min_value=10.0, max_value=400.0),  # data size
+                st.floats(min_value=0.05, max_value=1.0),  # alpha
+                st.floats(min_value=0.01, max_value=1.0),  # slack
+                st.floats(min_value=0.05, max_value=3.0),  # fading on the path loss
+                st.floats(min_value=5.0, max_value=600.0),  # distance
+            ),
+            max_size=20,
+        ),
+        budget=st.floats(min_value=1e5, max_value=4e7),
+    )
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_plan_properties(self, radio, users, budget):
+        qs = []
+        for uid, (size, alpha, slack, fading, distance) in enumerate(users):
+            gain = wireless.path_loss(distance, radio.path_loss_exponent) * fading
+            q = qualify(uid, size, alpha, slack, gain, distance, radio)
+            if q is not None:
+                qs.append(q)
+        plan = equal_share_plan(qs, budget, radio)
+        n = len(plan.selected)
+        assert plan.total_allocated <= budget * (1.0 + 1e-12)
+        by_id = {q.user_id: q for q in qs}
+        for uid in plan.selected:
+            q = by_id[uid]
+            assert plan.bandwidth[uid] == budget / n
+            delay = wireless.comm_delay(plan.bandwidth[uid], q.gain_power, radio)
+            assert delay <= q.slack * (1.0 + 1e-9)
+        for more in range(n + 1, len(qs) + 1):
+            assert sum(q.bandwidth <= budget / more for q in qs) < more
+
 
 class TestObjectiveValue:
     def test_empty_plan(self, radio):
         assert objective_value(RoundPlan(), [], radio) == 0.0
 
     def test_single_user(self, radio):
-        q = qualify(0, 1, 125.0, 0.5, SLACK, GAIN, 100.0, radio)
+        q = qualify(0, 125.0, 0.5, SLACK, GAIN, 100.0, radio)
         plan = select_users([q], radio.total_bandwidth)
         assert objective_value(plan, [q], radio) == q.weight
 
@@ -306,7 +342,6 @@ class TestObjectiveValue:
         for i in range(10):
             q = qualify(
                 i,
-                1,
                 float(rng.integers(50, 250)),
                 0.5,
                 float(rng.uniform(0.05, 0.6)),

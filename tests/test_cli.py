@@ -19,6 +19,8 @@ from ttfedsim.cli import (
 from ttfedsim.config import ConfigError, build_config, parse_config_text
 from ttfedsim.engine import run
 
+from test_datagen import write_idx_images, write_idx_labels
+
 # small enough to train and evaluate in tens of milliseconds
 TOY_CFG = """\
 sim.algorithm = ttfed
@@ -409,4 +411,33 @@ class TestBadValuesStopBeforeRunning:
         )
         assert rc == 2
         assert "config error: sim.seed:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_rejects_an_unparseable_seed(self, toy_cfg_file, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--config", toy_cfg_file, "--axis", "sim.rounds=1", "--seeds", "1,x"]
+        rc = main(argv + ["--out-dir", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error: --seeds:" in err and "'x'" in err
+        assert not out.exists()
+
+    def test_idx_class_smaller_than_train_per_class(self, toy_cfg_file, tmp_path, capsys):
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        write_idx_images(str(images), 20)
+        write_idx_labels(str(labels), list(range(10)) * 2)  # two samples per class
+        idx_keys = [
+            "data.source=idx",
+            f"data.train_images={images}",
+            f"data.train_labels={labels}",
+            f"data.test_images={images}",
+            f"data.test_labels={labels}",
+            "data.train_per_class=3",
+        ]
+        out = tmp_path / "out"
+        argv = ["run", "--config", toy_cfg_file, "--out-dir", str(out)]
+        rc = main(argv + [arg for key in idx_keys for arg in ("--override", key)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"config error: data.train_per_class: {labels}:" in err
         assert not out.exists()

@@ -19,7 +19,6 @@ from ttfedsim.aggregation import (
 from ttfedsim.config import FADING_MODES, POLICIES, ScenarioConfig, with_updates
 from ttfedsim.engine import (
     RunMetrics,
-    TierSchedule,
     _ceil_with_boundary,
     _train_user,
     build_tiers,
@@ -85,63 +84,32 @@ class TestCeilWithBoundary:
         assert _ceil_with_boundary(3.0001) == 4
 
 
-class TestTierSchedule:
-    def test_membership_queries(self):
-        sched = TierSchedule(
-            num_tiers=2,
-            tier_of={0: 1, 1: 2, 2: 1},
-            delta_t=0.5,
-            round_time=1.0,
-        )
-        assert sched.users_in(1) == [0, 2]
-        assert sched.users_in(2) == [1]
-        assert sched.due_tiers(1) == [1]
-        assert sched.due_tiers(2) == [1, 2]
-        assert sched.due_tiers(6) == [1, 2]
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="num_tiers"):
-            TierSchedule(0, {}, 0.5, 1.0)
-        with pytest.raises(ValueError, match="delta_t"):
-            TierSchedule(1, {}, 0.0, 1.0)
-        with pytest.raises(ValueError, match="assignments"):
-            TierSchedule(2, {0: 3}, 0.5, 1.0)
-
-
 class TestBuildTiers:
     @pytest.mark.parametrize(
         "frac,num_tiers", [(0.3, 4), (0.4, 3), (0.6, 2), (0.8, 2), (1.0, 1)]
     )
     def test_tier_count_from_fraction(self, frac, num_tiers):
-        sched = build_tiers(np.array([1.0, 0.5]), delta_t_frac=frac)
-        assert sched.num_tiers == num_tiers
+        delta, tier_of = build_tiers(np.array([1.0, 0.5]), delta_t_frac=frac)
+        assert delta == frac
+        assert tier_of.max() == tier_of[0] == num_tiers
 
     def test_membership_and_data_totals(self):
-        sched = build_tiers(np.array([1.0, 2.0]), delta_t_s=1.0)
-        assert sched.num_tiers == 2
-        assert sched.tier_of == {0: 1, 1: 2}
-        assert sched.round_time == 2.0
-        assert sched.delta_t == 1.0
+        delta, tier_of = build_tiers(np.array([1.0, 2.0]), delta_t_s=1.0)
+        assert delta == 1.0
+        assert tier_of.tolist() == [1, 2]
 
     def test_exact_boundary_joins_lower_tier(self):
-        sched = build_tiers(np.array([0.5, 1.0]), delta_t_s=0.5)
-        assert sched.tier_of == {0: 1, 1: 2}
+        _, tier_of = build_tiers(np.array([0.5, 1.0]), delta_t_s=0.5)
+        assert tier_of.tolist() == [1, 2]
 
     def test_interval_at_least_round_time(self):
-        sched = build_tiers(np.array([0.7, 1.0]), delta_t_frac=1.5)
-        assert sched.num_tiers == 1
-        assert sched.tier_of == {0: 1, 1: 1}
+        _, tier_of = build_tiers(np.array([0.7, 1.0]), delta_t_frac=1.5)
+        assert tier_of.tolist() == [1, 1]
 
     def test_singleton_tiers_make_async_cadence(self):
         # one user per tier: the schedule fires each user at its own pace
-        sched = build_tiers(np.array([0.05, 0.10, 0.15]), delta_t_s=0.05)
-        assert sched.num_tiers == 3
-        assert sched.tier_of == {0: 1, 1: 2, 2: 3}
-        assert [sched.users_in(m) for m in (1, 2, 3)] == [[0], [1], [2]]
-        assert sched.due_tiers(1) == [1]
-        assert sched.due_tiers(2) == [1, 2]
-        assert sched.due_tiers(3) == [1, 3]
-        assert sched.due_tiers(6) == [1, 2, 3]
+        _, tier_of = build_tiers(np.array([0.05, 0.10, 0.15]), delta_t_s=0.05)
+        assert tier_of.tolist() == [1, 2, 3]
 
     def test_missing_interval(self):
         with pytest.raises(ValueError, match="delta_t"):
@@ -159,7 +127,7 @@ class TestSetupScenario:
         assert len(sc.shard_images) == 4
         for u in range(4):
             assert sc.shard_images[u].shape == (int(sc.data_sizes[u]), 784)
-            assert 1 <= sc.schedule.tier_of[u] <= sc.schedule.num_tiers
+            assert 1 <= sc.tier_of[u] <= sc.num_tiers
         assert sc.test_images.shape == (50, 784)
         epoch_cycles = BASE.local_epochs * BASE.cycles_per_sample
         assert sc.tau_cp.tolist() == (epoch_cycles * sc.data_sizes / BASE.cpu_freq_hz).tolist()
@@ -174,12 +142,15 @@ class TestSetupScenario:
                 sc.params,
             )
             assert sc.nominal_cycle[u] == expected
-        assert sc.schedule.round_time == sc.nominal_cycle.max()
-        assert sc.schedule == build_tiers(sc.nominal_cycle, delta_t_frac=BASE.delta_t_frac)
+        assert sc.round_time == sc.nominal_cycle.max()
+        delta, tier_of = build_tiers(sc.nominal_cycle, delta_t_frac=BASE.delta_t_frac)
+        assert sc.delta_t == delta
+        assert np.array_equal(sc.tier_of, tier_of)
+        assert sc.num_tiers == tier_of.max() == tier_of[sc.nominal_cycle.argmax()]
 
     def test_budget_semantics(self):
         sc = setup_scenario(BASE)
-        assert sc.budget_s == BASE.rounds * sc.schedule.delta_t
+        assert sc.budget_s == BASE.rounds * sc.delta_t
         sc2 = setup_scenario(toy_config(time_budget_s=3.5))
         assert sc2.budget_s == 3.5
 
@@ -231,7 +202,7 @@ class TestTtfedLoop:
         w0 = init_params(derive_seed(cfg.seed, TAG_INIT), sc.arch)
         uploads = [
             (float(sc.data_sizes[u]), _train_user(sc, u, w0, 0))
-            for u in sc.schedule.users_in(2)
+            for u in np.flatnonzero(sc.tier_of == 2).tolist()
         ]
         # tier 1 is due but empty, so it keeps w0 under its weight
         expected = fedat_aggregate([w0, fedavg_aggregate(uploads)], ttfed_tier_weights(2, 2))
@@ -240,13 +211,7 @@ class TestTtfedLoop:
     def test_zero_weight_upload_flagged(self):
         cfg = toy_config(users=2, rounds=2, train_per_class=10)
         sc = setup_scenario(cfg)
-        sched = TierSchedule(
-            num_tiers=2,
-            tier_of={0: 1, 1: 2},
-            delta_t=1.0,
-            round_time=2.0,
-        )
-        sc2 = replace(sc, config=cfg, schedule=sched)
+        sc2 = replace(sc, config=cfg, delta_t=1.0, tier_of=np.array([1, 2]))
         trace: list[np.ndarray] = []
         metrics = run(cfg, scenario=sc2, trace=trace)
         # k=1: tier 1 uploads under weight 0 -> flagged, model unchanged
@@ -370,13 +335,13 @@ class TestFedatLoop:
     def test_two_tier_merge_times(self):
         cfg = toy_config(users=2, algorithm="fedat", time_budget_s=4.0)
         sc = setup_scenario(cfg)
-        sched = TierSchedule(
-            num_tiers=2,
-            tier_of={0: 1, 1: 2},
+        sc2 = replace(
+            sc,
+            config=cfg,
             delta_t=1.0,
-            round_time=2.0,
+            tier_of=np.array([1, 2]),
+            nominal_cycle=np.array([1.0, 2.0]),
         )
-        sc2 = replace(sc, config=cfg, schedule=sched, nominal_cycle=np.array([1.0, 2.0]))
         metrics = run(cfg, scenario=sc2)
         assert [p.time_s for p in metrics.evals] == [0.0, 1.0, 2.0, 2.0, 3.0, 4.0, 4.0]
 
@@ -495,10 +460,9 @@ class TestSuccessFrequency:
         sc = setup_scenario(cfg)
         q = allocator.qualify(
             0,
-            1,
             float(sc.data_sizes[0]),
             1.0,
-            sc.schedule.delta_t - float(sc.tau_cp[0]),
+            sc.delta_t - float(sc.tau_cp[0]),
             wireless.path_loss(float(sc.distances[0]), sc.params.path_loss_exponent),
             float(sc.distances[0]),
             sc.params,
