@@ -53,11 +53,10 @@ def main() -> None:
         cfg = replace(base, delta_t_frac=frac, time_budget_s=budget_s)
         scenario = setup_scenario(cfg)
         metrics = run(cfg, scenario)
-        peak = max(point.accuracy for point in metrics.evals)
         rounds = metrics.evals[-1].round if metrics.evals else 0
         downlinks = metrics.downlink_broadcasts + metrics.downlink_unicasts
         print(f"{frac:>5.2f} {scenario.num_tiers:>5} {rounds:>6} "
-              f"{metrics.final_accuracy:>7.4f} {peak:>7.4f} "
+              f"{metrics.final_accuracy:>7.4f} {metrics.peak_accuracy:>7.4f} "
               f"{metrics.uplink_msgs:>8} {downlinks:>9}")
 
 

@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import replace
 
 from . import __version__
 from .bound import BoundConstants, bound_table, check_conditions
@@ -29,7 +30,7 @@ from .config import (
     parse_keys,
     with_updates,
 )
-from .engine import RunMetrics, count_comm, run
+from .engine import RunMetrics, count_comm, run, setup_scenario
 
 CSV_HEADER = [
     "time_s",
@@ -104,6 +105,7 @@ def summary_dict(cfg: ScenarioConfig, metrics: RunMetrics) -> dict:
         "delta_t_s": metrics.delta_t,
         "round_time_s": metrics.round_time,
         "final_accuracy": last.accuracy if last else None,
+        "peak_accuracy": metrics.peak_accuracy if last else None,
         "final_loss": last.loss if last else None,
         "uplink_msgs": metrics.uplink_msgs,
         "downlink_broadcasts": metrics.downlink_broadcasts,
@@ -159,12 +161,23 @@ def _parse_axis(spec: str) -> tuple[str, list[str]]:
     return key.strip(), values
 
 
+def _reject_repeats(flag: str, values: list) -> None:
+    # a repeated cell would overwrite its own output files
+    repeated = sorted({str(v) for v in values if values.count(v) > 1})
+    if repeated:
+        raise ConfigError(f"{flag}: repeated value(s) {', '.join(repeated)}")
+
+
 def cmd_sweep(args) -> int:
     axis_key, axis_values = _parse_axis(args.axis)
+    _reject_repeats("--axis", axis_values)
     try:
         seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else None
     except ValueError as exc:
         raise ConfigError(f"--seeds: cannot parse {args.seeds!r} ({exc})") from None
+    _reject_repeats("--seeds", seeds or [])
+    if seeds and axis_key == "sim.seed":
+        raise ConfigError("--seeds: would replace every value of --axis sim.seed")
     out = _out_dir(args)
 
     # the whole grid is checked before the first run, so a bad value
@@ -175,14 +188,22 @@ def cmd_sweep(args) -> int:
         cfg0 = load_config(args.config, (args.override or []) + [f"{axis_key}={value}"])
         grid.extend((value, with_updates(cfg0, seed=seed)) for seed in seeds or [cfg0.seed])
 
-    runs = []
-    rows = []
-    for value, cfg in grid:
-        metrics = run(cfg)
-        tag = f"{axis_key.split('.')[-1]}_{value}_seed{cfg.seed}_{cfg.algorithm}"
-        csv_path, json_path = _write_run(os.path.join(out, "runs", tag), cfg, metrics)
-        runs.append(
-            {
+    # cells that differ only in sim.algorithm share one scenario; groups run
+    # one after another, so one scenario is alive at a time, and the files
+    # still list the cells in grid order
+    groups: dict[ScenarioConfig, list[int]] = {}
+    for i, (_, cfg) in enumerate(grid):
+        groups.setdefault(replace(cfg, algorithm="ttfed"), []).append(i)
+    runs: list = [None] * len(grid)
+    rows: list = [None] * len(grid)
+    for cells in groups.values():
+        scenario = setup_scenario(grid[cells[0]][1])
+        for i in cells:
+            value, cfg = grid[i]
+            metrics = run(cfg, scenario)
+            tag = f"{axis_key.split('.')[-1]}_{value}_seed{cfg.seed}_{cfg.algorithm}"
+            csv_path, json_path = _write_run(os.path.join(out, "runs", tag), cfg, metrics)
+            runs[i] = {
                 "axis_key": axis_key,
                 "axis_value": value,
                 "seed": cfg.seed,
@@ -190,10 +211,8 @@ def cmd_sweep(args) -> int:
                 "metrics_csv": csv_path,
                 "summary_json": json_path,
             }
-        )
-        last = metrics.evals[-1]
-        rows.append(
-            [
+            last = metrics.evals[-1]
+            rows[i] = [
                 value,
                 cfg.seed,
                 metrics.algorithm,
@@ -204,9 +223,10 @@ def cmd_sweep(args) -> int:
                 metrics.downlink_unicasts,
                 metrics.num_tiers,
                 f"{metrics.delta_t:.9g}",
+                f"{metrics.peak_accuracy:.6f}",
             ]
-        )
-        print(f"{axis_key}={value} seed={cfg.seed}: accuracy {last.accuracy:.4f}")
+            print(f"{axis_key}={value} seed={cfg.seed}: accuracy {last.accuracy:.4f}")
+        del scenario  # freed before the next group's is built
 
     comparison = os.path.join(out, "comparison.csv")
     manifest = os.path.join(out, "manifest.json")
@@ -221,6 +241,7 @@ def cmd_sweep(args) -> int:
         "downlink_unicasts",
         "num_tiers",
         "delta_t_s",
+        "peak_accuracy",
     ]
     _atomic_write(comparison, _csv_text(header, rows))
     _atomic_write(

@@ -104,6 +104,10 @@ class RunMetrics:
     def final_accuracy(self) -> float:
         return self.evals[-1].accuracy if self.evals else float("nan")
 
+    @property
+    def peak_accuracy(self) -> float:
+        return max((p.accuracy for p in self.evals), default=float("nan"))
+
     def first_reaching(self, target: float) -> EvalPoint | None:
         for point in self.evals:
             if point.accuracy >= target:
@@ -111,9 +115,7 @@ class RunMetrics:
         return None
 
 
-def count_comm(
-    metrics: RunMetrics, targets: tuple[float, ...] = (0.5, 0.6, 0.7, 0.8)
-) -> dict[float, dict | None]:
+def count_comm(metrics: RunMetrics, targets: tuple[float, ...]) -> dict[float, dict | None]:
     """Cumulative message counts at the first evaluation meeting each target.
 
     A broadcast counts once regardless of audience size. Unreached targets

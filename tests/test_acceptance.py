@@ -295,8 +295,7 @@ def test_09_algorithm_regime_comparison():
             sc = setup_scenario(base)
             for algo in algos:
                 metrics = run(replace(base, algorithm=algo), sc)
-                peak = max(p.accuracy for p in metrics.evals)
-                assert peak >= 0.80, (seed, algo, peak)
+                assert metrics.peak_accuracy >= 0.80, (seed, algo, metrics.peak_accuracy)
 
         # single-class shards, cpu spread 1-5 GHz: converged-accuracy ranking
         # and message counts to a common 92% target

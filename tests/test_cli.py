@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import weakref
 
 import pytest
 
@@ -16,10 +17,20 @@ from ttfedsim.cli import (
     metrics_csv_text,
     summary_dict,
 )
-from ttfedsim.config import ConfigError, build_config, parse_config_text
+from ttfedsim.bound import check_conditions
+from ttfedsim.config import (
+    ALGORITHMS,
+    ConfigError,
+    ScenarioConfig,
+    build_config,
+    load_config,
+    parse_config_text,
+)
 from ttfedsim.engine import run
 
 from test_datagen import write_idx_images, write_idx_labels
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
 # small enough to train and evaluate in tens of milliseconds
 TOY_CFG = """\
@@ -96,6 +107,7 @@ class TestCsvAndSummary:
         assert s["seed"] == 5
         assert s["num_tiers"] == metrics.num_tiers
         assert s["final_accuracy"] == metrics.evals[-1].accuracy
+        assert s["peak_accuracy"] == max(p.accuracy for p in metrics.evals)
         assert s["config_hash"] == cfg.content_hash()
         assert set(s["target_crossings"]) == {"0.5", "0.6", "0.7", "0.8"}
         json.dumps(s)  # must be serializable as-is
@@ -207,6 +219,7 @@ class TestSweepCommand:
         comparison = list(csv.reader((out / "comparison.csv").read_text().splitlines()))
         assert comparison[0][0] == "axis_value"
         assert comparison[0][8] == "num_tiers"
+        assert comparison[0][-1] == "peak_accuracy"
         assert len(comparison) == 3
         assert [r[0] for r in comparison[1:]] == ["1", "2"]
         assert {r[1] for r in comparison[1:]} == {"3"}
@@ -236,6 +249,57 @@ class TestSweepCommand:
         assert rc == 0
         assert (out / "runs" / "rounds_1_seed5_ttfed_metrics.csv").exists()
 
+    def test_algorithm_cells_share_a_scenario(self, toy_cfg_file, tmp_path, monkeypatch):
+        built = []
+
+        def counting_setup(cfg):
+            # the previous group's scenario is gone before the next is built
+            assert all(ref() is None for ref in built)
+            scenario = setup(cfg)
+            built.append(weakref.ref(scenario))
+            return scenario
+
+        setup = cli.setup_scenario
+        monkeypatch.setattr(cli, "setup_scenario", counting_setup)
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--config", toy_cfg_file, "--axis", "sim.algorithm=ttfed,fedavg,fedat"]
+        assert main(argv + ["--seeds", "1,2", "--out-dir", str(out)]) == 0
+        assert len(built) == 2  # once per seed, not once per cell
+
+        # grid order: value-major, seeds inside
+        comparison = list(csv.reader((out / "comparison.csv").read_text().splitlines()))[1:]
+        cells = [(alg, seed) for alg in ("ttfed", "fedavg", "fedat") for seed in (1, 2)]
+        assert [(r[0], int(r[1])) for r in comparison] == cells
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [(e["axis_value"], e["seed"]) for e in manifest["runs"]] == cells
+
+        # each cell writes what a separate run of it writes
+        for entry, (alg, seed) in zip(manifest["runs"], cells):
+            single = tmp_path / f"run_{alg}_{seed}"
+            argv = ["run", "--config", toy_cfg_file, "--override", f"sim.algorithm={alg}"]
+            assert main(argv + ["--seed", str(seed), "--out-dir", str(single)]) == 0
+            stem = f"{alg}_seed{seed}"
+            with open(entry["metrics_csv"]) as fh:
+                assert fh.read() == (single / f"{stem}_metrics.csv").read_text()
+            with open(entry["summary_json"]) as fh:
+                assert json.load(fh) == json.loads((single / f"{stem}_summary.json").read_text())
+
+    def test_compare_config_over_the_four_algorithms(self, tmp_path):
+        out = tmp_path / "compare"
+        argv = ["sweep", "--config", os.path.join(CONFIGS, "compare.cfg")]
+        argv += ["--axis", "sim.algorithm=" + ",".join(ALGORITHMS), "--out-dir", str(out)]
+        for override in ("sim.users=6", "sim.rounds=2", "sim.max_evals=5"):
+            argv += ["--override", override]
+        assert main(argv) == 0
+        rows = list(csv.DictReader((out / "comparison.csv").read_text().splitlines()))
+        assert [r["algorithm"] for r in rows] == list(ALGORITHMS)
+        for row, entry in zip(rows, json.loads((out / "manifest.json").read_text())["runs"]):
+            assert float(row["peak_accuracy"]) >= float(row["final_accuracy"])
+            with open(entry["summary_json"]) as fh:
+                summary = json.load(fh)
+            assert "0.9" in summary["target_crossings"]
+            assert summary["uplink_msgs"] == int(row["uplink_msgs"])
+
     def test_bad_axis_is_config_error(self, toy_cfg_file, tmp_path, capsys):
         rc = main(
             [
@@ -250,6 +314,26 @@ class TestSweepCommand:
         )
         assert rc == 2
         assert "config error" in capsys.readouterr().err
+
+
+class TestShippedConfigs:
+    def test_default_cfg_spells_out_the_defaults(self):
+        assert load_config(os.path.join(CONFIGS, "default.cfg")) == ScenarioConfig()
+
+    def test_compare_cfg(self):
+        assert load_config(os.path.join(CONFIGS, "compare.cfg")) == ScenarioConfig(
+            max_evals=300,
+            accuracy_targets=(0.5, 0.6, 0.7, 0.8, 0.9),
+            cpu_freq_max_hz=5e9,
+            dirichlet_theta=0.0,
+            learning_rate=1.0,
+            batch_size=250,
+        )
+
+    def test_bound_example_cfg(self):
+        constants, rounds = load_bound_constants(os.path.join(CONFIGS, "bound_example.cfg"))
+        assert check_conditions(constants)[0]
+        assert rounds == [0, 1, 10, 100, 1000]
 
 
 class TestLoadBoundConstants:
@@ -411,6 +495,22 @@ class TestBadValuesStopBeforeRunning:
         )
         assert rc == 2
         assert "config error: sim.seed:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "axis,seeds,flag",
+        [
+            ("sim.algorithm=ttfed,fedavg,ttfed", "1", "--axis"),
+            ("sim.algorithm=ttfed", "1,2,1", "--seeds"),
+            ("sim.seed=1,2", "3", "--seeds"),  # both cells would run seed 3
+        ],
+    )
+    def test_sweep_rejects_a_repeated_cell(self, toy_cfg_file, tmp_path, capsys, axis, seeds, flag):
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--config", toy_cfg_file, "--axis", axis, "--seeds", seeds]
+        rc = main(argv + ["--out-dir", str(out)])
+        assert rc == 2
+        assert f"config error: {flag}: " in capsys.readouterr().err
         assert not out.exists()
 
     def test_sweep_rejects_an_unparseable_seed(self, toy_cfg_file, tmp_path, capsys):
