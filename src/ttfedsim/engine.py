@@ -289,9 +289,18 @@ def _eval_stride(expected_events: int, cfg: ScenarioConfig) -> int:
     return max(cfg.eval_every, thin, 1)
 
 
-def _train_user(sc: Scenario, u: int, w_src: np.ndarray, dispatch_idx: int) -> np.ndarray:
-    rng = substream(sc.config.seed, TAG_TRAIN, u, dispatch_idx)
-    return local_update(w_src, sc.shard_images[u], sc.shard_labels[u], sc.config, rng, sc.arch)
+def _train_user(
+    sc: Scenario, u: int, w_src: np.ndarray, dispatch_idx: int, work: np.ndarray | None = None
+) -> np.ndarray:
+    """User u's local model trained from w_src; `work` is local_update's gradient scratch.
+
+    The shuffling stream is built only when the shard is larger than a
+    batch, the only case in which local_update reads it.
+    """
+    labels = sc.shard_labels[u]
+    shuffled = sc.config.batch_size < len(labels)
+    rng = substream(sc.config.seed, TAG_TRAIN, u, dispatch_idx) if shuffled else None
+    return local_update(w_src, sc.shard_images[u], labels, sc.config, rng, sc.arch, work=work)
 
 
 def _fading(sc: Scenario, u: int, event_idx: int) -> float:
@@ -532,9 +541,10 @@ def run(
         metrics.downlink_broadcasts += 1  # initial model distribution
 
     sent = dict.fromkeys(range(cfg.users), (w, 0))  # user -> (model, dispatch index)
+    work = np.empty(sc.arch.param_count)  # gradient scratch shared by every local update
 
     def upload(u: int) -> Upload:
-        return float(sc.data_sizes[u]), _train_user(sc, u, *sent[u])
+        return float(sc.data_sizes[u]), _train_user(sc, u, *sent[u], work=work)
 
     events = 0
     for t, key, index in _clock(rule.periods, budget, rule.synchronous):

@@ -2,9 +2,13 @@
 
 Parameters live in a single flat float64 vector laid out as
 [W1 row-major, b1, W2 row-major, b2] so that uploading and aggregating
-never need to know the layer structure. All functions here are pure;
-batch order inside an update is fixed by the caller's stream, making
-results bit-stable.
+never need to know the layer structure. Batch order inside an update is
+fixed by the caller's stream, making results bit-stable.
+
+Nothing here writes to a caller's model, images or labels. The only
+arrays written in place are ones made here (each result, and the
+activations of a pass) and the gradient scratch vector that a caller of
+`local_update` may lend as `work`.
 """
 
 from __future__ import annotations
@@ -61,13 +65,56 @@ def init_params(seed: int, arch: MlpArch = MlpArch()) -> np.ndarray:
 
 
 def _forward(w: np.ndarray, images: np.ndarray, arch: MlpArch):
+    """(hidden, shifted logits, softmax probabilities, softmax row sums).
+
+    The row sums are the softmax denominators, which the log-sum-exp of
+    the loss reuses. All four arrays are new; the sigmoid and the softmax
+    are computed in place in them.
+    """
     w1, b1, w2, b2 = _views(w, arch)
-    hidden = 1.0 / (1.0 + np.exp(-(images @ w1 + b1)))
-    logits = hidden @ w2 + b2
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=1, keepdims=True)
-    return hidden, shifted, probs
+    hidden = images @ w1
+    hidden += b1
+    np.negative(hidden, out=hidden)
+    np.exp(hidden, out=hidden)
+    hidden += 1.0
+    np.divide(1.0, hidden, out=hidden)
+    shifted = hidden @ w2
+    shifted += b2
+    shifted -= shifted.max(axis=1, keepdims=True)
+    probs = np.exp(shifted)
+    sums = probs.sum(axis=1, keepdims=True)
+    probs /= sums
+    return hidden, shifted, probs, sums
+
+
+def _mean_cross_entropy(shifted: np.ndarray, sums: np.ndarray, labels: np.ndarray) -> float:
+    picked = shifted[np.arange(len(labels)), labels] - np.log(sums[:, 0])
+    return -float(picked.mean())
+
+
+def _gradient(
+    w: np.ndarray, images: np.ndarray, labels: np.ndarray, g: np.ndarray, arch: MlpArch
+) -> tuple[np.ndarray, np.ndarray]:
+    """Write the batch's mean cross-entropy gradient into g, in w's layout.
+
+    Returns the forward pass's shifted logits and softmax row sums, from
+    which the loss follows. Only g and arrays made here are written.
+    """
+    n = len(labels)
+    _, _, w2, _ = _views(w, arch)
+    g1, gb1, g2, gb2 = _views(g, arch)
+    hidden, shifted, d_logits, sums = _forward(w, images, arch)
+    d_logits[np.arange(n), labels] -= 1.0
+    d_logits /= n
+    np.matmul(hidden.T, d_logits, out=g2)
+    d_logits.sum(axis=0, out=gb2)
+    d_hidden = d_logits @ w2.T
+    d_hidden *= hidden
+    np.subtract(1.0, hidden, out=hidden)
+    d_hidden *= hidden
+    np.matmul(images.T, d_hidden, out=g1)
+    d_hidden.sum(axis=0, out=gb1)
+    return shifted, sums
 
 
 def class_probabilities(w: np.ndarray, images: np.ndarray, arch: MlpArch = MlpArch()) -> np.ndarray:
@@ -79,25 +126,11 @@ def loss_and_gradient(
     w: np.ndarray, images: np.ndarray, labels: np.ndarray, arch: MlpArch = MlpArch()
 ) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over the batch and its gradient in w's layout."""
-    n = len(labels)
-    if n == 0:
+    if len(labels) == 0:
         raise ValueError("empty batch")
-    w1, b1, w2, b2 = _views(w, arch)
-    hidden, shifted, probs = _forward(w, images, arch)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    loss = -float(log_probs[np.arange(n), labels].mean())
-
-    d_logits = probs.copy()
-    d_logits[np.arange(n), labels] -= 1.0
-    d_logits /= n
     g = np.empty_like(w)
-    g1, gb1, g2, gb2 = _views(g, arch)
-    g2[:] = hidden.T @ d_logits
-    gb2[:] = d_logits.sum(axis=0)
-    d_hidden = (d_logits @ w2.T) * hidden * (1.0 - hidden)
-    g1[:] = images.T @ d_hidden
-    gb1[:] = d_hidden.sum(axis=0)
-    return loss, g
+    shifted, sums = _gradient(w, images, labels, g, arch)
+    return _mean_cross_entropy(shifted, sums, labels), g
 
 
 def local_update(
@@ -105,8 +138,10 @@ def local_update(
     images: np.ndarray,
     labels: np.ndarray,
     cfg: ScenarioConfig,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
     arch: MlpArch = MlpArch(),
+    *,
+    work: np.ndarray | None = None,
 ) -> np.ndarray:
     """cfg.local_epochs passes of mini-batch SGD starting from w_in.
 
@@ -116,19 +151,33 @@ def local_update(
 
     With batch_size >= shard size one epoch is exactly one full-batch
     step w_in - lr * grad(w_in); the shuffle is skipped there so the
-    single-step form holds bit-for-bit.
+    single-step form holds bit-for-bit. `rng` is read only when
+    batch_size < shard size, to shuffle each epoch, and may be None
+    otherwise.
+
+    `work`, a float64 vector of w_in's length, holds each step's scaled
+    gradient; a caller that trains many models passes the same one every
+    time, so that no step allocates a parameter-sized array. Its contents
+    on return are undefined. Without it one is allocated per call. The
+    result is always a fresh array, never `work` or `w_in`.
     """
     n = len(labels)
     if n == 0:
         raise ValueError("empty shard")
+    g = np.empty_like(w_in) if work is None else work
     w = w_in.copy()
-    full_batch = cfg.batch_size >= n
+    size = cfg.batch_size
     for _ in range(cfg.local_epochs):
-        order = np.arange(n) if full_batch else rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            _, grad = loss_and_gradient(w, images[idx], labels[idx], arch)
-            w -= cfg.learning_rate * grad
+        if size >= n:
+            batches = [(images, labels)]
+        else:
+            order = rng.permutation(n)
+            slices = (order[start : start + size] for start in range(0, n, size))
+            batches = ((images[idx], labels[idx]) for idx in slices)
+        for batch_images, batch_labels in batches:
+            _gradient(w, batch_images, batch_labels, g, arch)
+            np.multiply(g, cfg.learning_rate, out=g)
+            w -= g
     return w
 
 
@@ -139,8 +188,7 @@ def evaluate(
     n = len(labels)
     if n == 0:
         raise ValueError("empty test set")
-    _, shifted, probs = _forward(w, images, arch)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    loss = -float(log_probs[np.arange(n), labels].mean())
+    _, shifted, probs, sums = _forward(w, images, arch)
+    loss = _mean_cross_entropy(shifted, sums, labels)
     accuracy = float((probs.argmax(axis=1) == labels).mean())
     return accuracy, loss

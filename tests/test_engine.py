@@ -28,7 +28,7 @@ from ttfedsim.engine import (
     setup_scenario,
 )
 from ttfedsim.learner import evaluate, init_params
-from ttfedsim.streams import TAG_INIT, derive_seed
+from ttfedsim.streams import TAG_INIT, TAG_TRAIN, derive_seed
 
 # small, fast, high-success scenario shared by the loop tests
 BASE = ScenarioConfig(
@@ -413,6 +413,32 @@ class TestRunDispatch:
         metrics = run(toy_config(algorithm=name, users=10, delta_t_frac=1.0, rounds=3))
         assert len(trained) == metrics.success_total > 2
         assert most_alive <= 2
+
+
+class TestTrainingStreams:
+    @pytest.mark.parametrize("name", ["ttfed", "fedavg", "fedasync", "fedat"])
+    @pytest.mark.parametrize("batch_size", [8, 34])
+    def test_built_only_for_shuffled_updates(self, name, batch_size, monkeypatch):
+        """A training stream is built per upload whose shard exceeds a batch."""
+        built, shard_sizes = [], []
+        substream, local_update = engine.substream, engine.local_update
+
+        def counted_substream(seed, *key):
+            if key[0] == TAG_TRAIN:
+                built.append(key)
+            return substream(seed, *key)
+
+        def counted_update(*args, **kwargs):
+            shard_sizes.append(len(args[2]))
+            return local_update(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "substream", counted_substream)
+        monkeypatch.setattr(engine, "local_update", counted_update)
+        # Zipf shards of 34, 17, 11, 9, 7, 6, 5, 4, 4 and 3 samples
+        run(toy_config(algorithm=name, users=10, zipf_eta=1.0, batch_size=batch_size, rounds=3))
+        assert max(shard_sizes) == 34 and min(shard_sizes) <= 8
+        assert len(built) == sum(n > batch_size for n in shard_sizes)
+        assert len(set(built)) == len(built)
 
 
 class TestCountComm:

@@ -167,6 +167,43 @@ class TestLocalUpdate:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)  # different shuffle, different result
 
+    def test_minibatches_match_hand_rolled_sgd(self):
+        images, labels = random_batch(30, 12)
+        w = init_params(12)
+        cfg = ScenarioConfig(learning_rate=0.05, local_epochs=3, batch_size=8)
+        out = local_update(w, images, labels, cfg, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        expected = w
+        for _ in range(3):
+            order = rng.permutation(30)
+            for start in range(0, 30, 8):  # batches of 8, 8, 8 and a ragged 6
+                idx = order[start : start + 8]
+                _, grad = loss_and_gradient(expected, images[idx], labels[idx])
+                expected = expected - 0.05 * grad
+        assert out.tobytes() == expected.tobytes()
+
+    def test_lent_scratch_changes_no_bits(self):
+        images, labels = random_batch(30, 13)
+        w = init_params(13)
+        w_before, images_before = w.copy(), images.copy()
+        cfg = ScenarioConfig(learning_rate=0.05, local_epochs=3, batch_size=8)
+        work = np.empty_like(w)
+        plain = local_update(w, images, labels, cfg, np.random.default_rng(6))
+        lent = local_update(w, images, labels, cfg, np.random.default_rng(6), work=work)
+        assert lent.tobytes() == plain.tobytes()
+        assert not np.shares_memory(lent, work)
+        assert not np.shares_memory(lent, w)
+        assert w.tobytes() == w_before.tobytes()
+        assert images.tobytes() == images_before.tobytes()
+
+    def test_full_batch_reads_no_stream(self):
+        images, labels = random_batch(10, 14)
+        w = init_params(14)
+        cfg = ScenarioConfig(learning_rate=0.05, local_epochs=2, batch_size=10)
+        out = local_update(w, images, labels, cfg, None, work=np.empty_like(w))
+        expected = local_update(w, images, labels, cfg, np.random.default_rng(0))
+        assert out.tobytes() == expected.tobytes()
+
     def test_updates_stay_finite(self):
         images, labels = random_batch(30, 8)
         w = init_params(8)
