@@ -8,6 +8,10 @@ a simplex mix of all tiers), under per-round weights derived from
 cumulative update counts. Weight arithmetic is exact (integer numerators
 over a common denominator) before any float conversion. Which users form
 a tier, and when a tier is due, is the engine's business.
+
+Each rule returns a fresh model of its inputs' dtype. An np.float64
+scalar times a float32 array is a float64 array, so weights are applied
+as Python floats or in place.
 """
 
 from __future__ import annotations
@@ -45,14 +49,23 @@ def fedavg_aggregate(uploads: Iterable[Upload]) -> np.ndarray:
         raise EmptyUploadError("no uploads to aggregate")
     if total <= 0:
         raise ValueError("upload data sizes sum to zero")
-    return acc / total
+    acc /= total
+    return acc
 
 
-def fedasync_aggregate(w_prev: np.ndarray, w_new: np.ndarray, psi: float) -> np.ndarray:
-    """Mix one arriving model into the global one: psi*new + (1-psi)*prev."""
+def fedasync_aggregate(
+    w_prev: np.ndarray, w_new: np.ndarray, psi: float, *, overwrite_new: bool = False
+) -> np.ndarray:
+    """Mix one arriving model into the global one: psi*new + (1-psi)*prev.
+
+    With overwrite_new, w_new's buffer holds psi*new on return, so that a
+    caller which has no further use for w_new allocates only the result.
+    """
     if not 0.0 < psi < 1.0:
         raise ValueError(f"psi must lie in (0, 1), got {psi}")
-    return psi * w_new + (1.0 - psi) * w_prev
+    mixed = (1.0 - psi) * w_prev
+    mixed += np.multiply(w_new, psi, out=w_new if overwrite_new else None)
+    return mixed
 
 
 def fedat_aggregate(tier_models: Sequence[np.ndarray], weights: Sequence[float]) -> np.ndarray:
@@ -66,7 +79,7 @@ def fedat_aggregate(tier_models: Sequence[np.ndarray], weights: Sequence[float])
         raise ValueError(f"weights must be a simplex vector, got sum {w.sum()!r}")
     acc = np.zeros_like(tier_models[0])
     for alpha, model in zip(w, tier_models):
-        acc += alpha * model
+        acc += float(alpha) * model
     return acc
 
 

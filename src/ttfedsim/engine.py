@@ -41,7 +41,7 @@ from .datagen import (
     synthetic_digits,
     training_subset,
 )
-from .learner import MlpArch, evaluate, init_params, local_update
+from .learner import MODEL_DTYPE, MlpArch, evaluate, init_params, local_update
 from .streams import (
     TAG_CHANNEL,
     TAG_CPU,
@@ -145,10 +145,10 @@ class Scenario:
     params: ChannelParams
     arch: MlpArch
     distances: np.ndarray  # per user, meters
-    shard_images: list[np.ndarray]
+    shard_images: list[np.ndarray]  # per user, MODEL_DTYPE rows
     shard_labels: list[np.ndarray]
     data_sizes: np.ndarray  # per user, samples
-    test_images: np.ndarray
+    test_images: np.ndarray  # MODEL_DTYPE
     test_labels: np.ndarray
     tau_cp: np.ndarray  # per user, seconds
     nominal_cycle: np.ndarray  # per user t_u at equal-share bandwidth
@@ -230,7 +230,11 @@ def _load_datasets(cfg: ScenarioConfig) -> tuple[LabeledDataset, LabeledDataset]
 def setup_scenario(
     cfg: ScenarioConfig, data: tuple[LabeledDataset, LabeledDataset] | None = None
 ) -> Scenario:
-    """Materialize users, shards, channel and tier structure for a config."""
+    """Materialize users, shards, channel and tier structure for a config.
+
+    Shards and the test set hold the images as MODEL_DTYPE, the dtype the
+    learner trains and scores in; the datasets themselves stay float64.
+    """
     cfg.validate()
     train, test = data if data is not None else _load_datasets(cfg)
     arch = MlpArch(in_dim=train.images.shape[1], hidden=cfg.hidden_width, out_dim=10)
@@ -244,6 +248,7 @@ def setup_scenario(
         seed=derive_seed(cfg.seed, TAG_PARTITION),
     )
     data_sizes = np.array([s.size for s in shards], dtype=np.float64)
+    train_images = train.images.astype(MODEL_DTYPE)
     if cfg.cpu_freq_max_hz is not None:
         freqs = substream(cfg.seed, TAG_CPU).uniform(
             cfg.cpu_freq_hz, cfg.cpu_freq_max_hz, cfg.users
@@ -269,10 +274,10 @@ def setup_scenario(
         params=params,
         arch=arch,
         distances=distances,
-        shard_images=[train.images[s.indices] for s in shards],
+        shard_images=[train_images[s.indices] for s in shards],
         shard_labels=[train.labels[s.indices] for s in shards],
         data_sizes=data_sizes,
-        test_images=test.images,
+        test_images=test.images.astype(MODEL_DTYPE),
         test_labels=test.labels,
         tau_cp=tau_cp,
         nominal_cycle=nominal_cycle,
@@ -458,8 +463,8 @@ class _FedAsync(_Rule):
         self.members = {u: [u] for u in self.periods}
 
     def merge(self, key, index, w, survivors, upload):
-        for u in survivors:
-            w = fedasync_aggregate(w, upload(u)[1], self.sc.config.psi)
+        for u in survivors:  # the trained model is held nowhere else
+            w = fedasync_aggregate(w, upload(u)[1], self.sc.config.psi, overwrite_new=True)
         return w
 
 
@@ -541,7 +546,7 @@ def run(
         metrics.downlink_broadcasts += 1  # initial model distribution
 
     sent = dict.fromkeys(range(cfg.users), (w, 0))  # user -> (model, dispatch index)
-    work = np.empty(sc.arch.param_count)  # gradient scratch shared by every local update
+    work = np.empty_like(w)  # gradient scratch shared by every local update
 
     def upload(u: int) -> Upload:
         return float(sc.data_sizes[u]), _train_user(sc, u, *sent[u], work=work)

@@ -1,9 +1,14 @@
 """Local model: one-hidden-layer sigmoid MLP with softmax cross-entropy.
 
-Parameters live in a single flat float64 vector laid out as
+Parameters live in a single flat vector laid out as
 [W1 row-major, b1, W2 row-major, b2] so that uploading and aggregating
 never need to know the layer structure. Batch order inside an update is
 fixed by the caller's stream, making results bit-stable.
+
+Every function computes in the dtype of the model and images it is given
+and casts nothing. The simulator stores models, and the images they are
+trained and scored on, as MODEL_DTYPE (float32); float64 models work the
+same way.
 
 Nothing here writes to a caller's model, images or labels. The only
 arrays written in place are ones made here (each result, and the
@@ -20,6 +25,8 @@ import numpy as np
 
 if TYPE_CHECKING:
     from .config import ScenarioConfig
+
+MODEL_DTYPE = np.float32
 
 
 @dataclass(frozen=True)
@@ -51,7 +58,10 @@ def _views(w: np.ndarray, arch: MlpArch):
 
 
 def init_params(seed: int, arch: MlpArch = MlpArch()) -> np.ndarray:
-    """Uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases."""
+    """Uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases, as MODEL_DTYPE.
+
+    The draw is made in float64 and rounded once at the end.
+    """
     rng = np.random.default_rng(seed)
     w = np.zeros(arch.param_count)
     w1, b1, w2, b2 = _views(w, arch)
@@ -61,7 +71,7 @@ def init_params(seed: int, arch: MlpArch = MlpArch()) -> np.ndarray:
     w2[:] = rng.uniform(-lim2, lim2, size=w2.shape)
     b1[:] = 0.0
     b2[:] = 0.0
-    return w
+    return w.astype(MODEL_DTYPE)
 
 
 def _forward(w: np.ndarray, images: np.ndarray, arch: MlpArch):
@@ -69,13 +79,16 @@ def _forward(w: np.ndarray, images: np.ndarray, arch: MlpArch):
 
     The row sums are the softmax denominators, which the log-sum-exp of
     the loss reuses. All four arrays are new; the sigmoid and the softmax
-    are computed in place in them.
+    are computed in place in them. A pre-activation below about -88 in
+    float32 (-709 in float64) overflows exp(-x) to inf, which is how the
+    sigmoid saturates to exactly 0, so that overflow is not reported.
     """
     w1, b1, w2, b2 = _views(w, arch)
     hidden = images @ w1
     hidden += b1
     np.negative(hidden, out=hidden)
-    np.exp(hidden, out=hidden)
+    with np.errstate(over="ignore"):
+        np.exp(hidden, out=hidden)
     hidden += 1.0
     np.divide(1.0, hidden, out=hidden)
     shifted = hidden @ w2
@@ -155,7 +168,7 @@ def local_update(
     batch_size < shard size, to shuffle each epoch, and may be None
     otherwise.
 
-    `work`, a float64 vector of w_in's length, holds each step's scaled
+    `work`, a vector of w_in's length and dtype, holds each step's scaled
     gradient; a caller that trains many models passes the same one every
     time, so that no step allocates a parameter-sized array. Its contents
     on return are undefined. Without it one is allocated per call. The

@@ -195,7 +195,7 @@ def test_07_gradient_finite_difference():
         arch = MlpArch(hidden=12)
         for seed in range(10):
             rng = np.random.default_rng(900 + seed)
-            w = init_params(seed, arch)
+            w = init_params(seed, arch).astype(np.float64)  # float32 would round h
             images = rng.random((16, 784))
             labels = rng.integers(0, 10, size=16)
             _, grad = loss_and_gradient(w, images, labels, arch)

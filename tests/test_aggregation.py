@@ -1,5 +1,6 @@
 """Model-merging rules: sync mean, async mix, tiered merge, time-triggered."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -145,6 +146,70 @@ class TestFedAt:
     def test_empty(self):
         with pytest.raises(EmptyUploadError):
             fedat_aggregate([], [])
+
+
+class TestModelDtype:
+    """Every rule returns its input's dtype; float32 models are never widened."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_fedavg(self, dtype):
+        uploads = [(3.0, VEC.astype(dtype)), (np.float64(5.0), -VEC.astype(dtype))]
+        assert fedavg_aggregate(uploads).dtype == dtype
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_fedasync(self, dtype):
+        out = fedasync_aggregate(VEC.astype(dtype), (2.0 * VEC).astype(dtype), 0.3)
+        assert out.dtype == dtype
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_fedat(self, dtype):
+        models = [VEC.astype(dtype), (VEC + 1.0).astype(dtype), (VEC - 1.0).astype(dtype)]
+        assert fedat_aggregate(models, [0.25, 0.25, 0.5]).dtype == dtype
+        assert fedat_aggregate(models, ttfed_tier_weights(6, 3)).dtype == dtype
+
+    def test_fedat_builds_no_float64_temporary(self):
+        models = [np.full(1_000_000, v, dtype=np.float32) for v in (1.0, 2.0, 3.0)]
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = fedat_aggregate(models, ttfed_tier_weights(6, 3))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert out.dtype == np.float32
+        assert peak < 2.1 * models[0].nbytes  # the result and one float32 product
+
+
+class TestFedAsyncOverwrite:
+    """overwrite_new lends w_new's buffer to the psi*new product."""
+
+    def test_same_bits_and_a_fresh_result(self):
+        rng = np.random.default_rng(0)
+        prev, new = rng.normal(size=(2, 1000)).astype(np.float32)
+        prev_before, new_before = prev.copy(), new.copy()
+        plain = fedasync_aggregate(prev, new, 0.3)
+        assert new.tobytes() == new_before.tobytes()
+        out = fedasync_aggregate(prev, new, 0.3, overwrite_new=True)
+        assert out.tobytes() == plain.tobytes()
+        assert out.tobytes() == (0.3 * new_before + (1.0 - 0.3) * prev_before).tobytes()
+        assert prev.tobytes() == prev_before.tobytes()
+        assert new.tobytes() == (0.3 * new_before).tobytes()
+        assert not np.shares_memory(out, new) and not np.shares_memory(out, prev)
+
+    def test_allocates_only_the_result(self):
+        prev = np.full(1_000_000, 2.0, dtype=np.float32)
+        new = np.full(1_000_000, 4.0, dtype=np.float32)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = fedasync_aggregate(prev, new, 0.5, overwrite_new=True)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert out[0] == 3.0
+        assert peak < 1.1 * prev.nbytes
 
 
 class TestTierWeights:

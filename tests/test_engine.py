@@ -17,6 +17,7 @@ from ttfedsim.aggregation import (
     ttfed_tier_weights,
 )
 from ttfedsim.config import FADING_MODES, POLICIES, ScenarioConfig, with_updates
+from ttfedsim.datagen import synthetic_digits
 from ttfedsim.engine import (
     RunMetrics,
     _ceil_with_boundary,
@@ -167,6 +168,42 @@ class TestSetupScenario:
         freqs = cfg.local_epochs * cfg.cycles_per_sample * sc.data_sizes / sc.tau_cp
         assert (freqs >= 1e9).all() and (freqs <= 5e9).all()
         assert len(np.unique(freqs)) == 4
+
+
+class TestModelDtype:
+    """Models and the images they meet are float32; the rest stays float64."""
+
+    def test_scenario_arrays(self):
+        sc = setup_scenario(BASE)
+        assert {a.dtype for a in sc.shard_images} == {np.dtype(np.float32)}
+        assert sc.test_images.dtype == np.float32
+        for values in (sc.distances, sc.data_sizes, sc.tau_cp, sc.nominal_cycle):
+            assert values.dtype == np.float64
+
+    def test_images_are_the_dataset_rounded_once(self):
+        sc = setup_scenario(BASE)
+        train, test = synthetic_digits(BASE.train_per_class, BASE.test_per_class, BASE.data_seed)
+        assert train.images.dtype == test.images.dtype == np.float64
+        assert sc.test_images.tobytes() == test.images.astype(np.float32).tobytes()
+        rows = train.images.astype(np.float32)
+        for images in sc.shard_images:
+            assert all((rows == row).all(axis=1).any() for row in images)
+
+    @pytest.mark.parametrize("name", ["ttfed", "fedavg", "fedasync", "fedat"])
+    def test_every_model_and_the_gradient_scratch(self, name, monkeypatch):
+        scratch = []
+        local_update = engine.local_update
+
+        def spy(*args, **kwargs):
+            scratch.append(kwargs["work"])
+            return local_update(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "local_update", spy)
+        trace: list[np.ndarray] = []
+        run(toy_config(algorithm=name, delta_t_frac=0.6), trace=trace)
+        assert trace and {w.dtype for w in trace} == {np.dtype(np.float32)}
+        assert scratch and all(work is scratch[0] for work in scratch)
+        assert scratch[0].dtype == np.float32
 
 
 class TestTtfedLoop:

@@ -5,6 +5,27 @@ run still produces the same numbers it did when the hashes were taken. Each
 hash covers every evaluation point at full float precision plus the final
 counters. A change that moves any of them is a change of behaviour and
 must re-baseline on purpose.
+
+Re-baselined once, when models became float32 (training, merging and
+scoring; the allocator, the channel and the bound stay float64). Every
+hash moved; the first 12 hex digits, float64 -> float32:
+
+    budget-fedasync                                46a90507c5a6 -> b3152bc9585f
+    budget-fedat                                   ab4d78fb1a3d -> 853a4a65a3fd
+    budget-fedavg                                  45513b95d794 -> c1e294546ea1
+    budget-ttfed                                   84cf759d155b -> a6858773d63b
+    one-tier-fedasync                              168c625e5c97 -> ae6f59bd0b2d
+    one-tier-fedat                                 92b7d26e3c54 -> 2c8dba81cd0f
+    one-tier-fedavg                                88d00c25afe0 -> 130dc6e1b3d8
+    one-tier-ttfed                                 61f199a6a7be -> ce42c67d9f61
+    three-tiers-fedasync                           05f4db31747e -> 9b25569286cf
+    three-tiers-fedat                              df32caba8255 -> 94bf4986464b
+    three-tiers-fedavg                             fff63680fd2f -> 4564575cc2e6
+    three-tiers-ttfed                              0de74996dd37 -> 730c0929a708
+    three-tiers-ttfed-equal-bandwidth              15f909d3ee4f -> ea577b8ad213
+    three-tiers-ttfed-equal-bandwidth-realization  0a33f65a85b9 -> 7d624e51f5da
+    three-tiers-ttfed-equal-weight                 9d46d23ef9ff -> bf88e3cbfa2c
+    three-tiers-ttfed-realization                  6b44f48e4632 -> df6a1bc77e2c
 """
 
 import hashlib
@@ -59,22 +80,22 @@ CASES = {
 }
 
 GOLDEN = {
-    "budget-fedasync": "46a90507c5a6a702ec5ad7c65dc8bbda78c3367117123925f31311eecabcb183",
-    "budget-fedat": "ab4d78fb1a3de3ebd7d0d753766de6ee524da0b239d7171ff645045ff3c9009a",
-    "budget-fedavg": "45513b95d7946c53f8e4bdfc6e8104128e2dd729cf838f4e93b4a8d025aff1b8",
-    "budget-ttfed": "84cf759d155bc8ce627f73183df30f63abc81c042c6ce8f361f1ee9a0669a852",
-    "one-tier-fedasync": "168c625e5c97ed3758da898d58580518e41ea60dcde8bd6538fcc8215889f809",
-    "one-tier-fedat": "92b7d26e3c545ad6dac570dadec4cbdb881218ce0e18fe94b394d8221d0a2430",
-    "one-tier-fedavg": "88d00c25afe00dd211942730fa3a586374e748e47232d3ba1b994ba2edc9182e",
-    "one-tier-ttfed": "61f199a6a7be9d6431da467aed1d156b24331ad97bd73a590819ba667f0bdd73",
-    "three-tiers-fedasync": "05f4db31747ec91745fd97cca91dc877c8cc1c3d27cf573e825bd4b8d4f39621",
-    "three-tiers-fedat": "df32caba825551574ba1a27d2cf69e4b16f1ea9383e8083a062602db57a99309",
-    "three-tiers-fedavg": "fff63680fd2f4023f1fdc915934aa225d4ace79a8436219c6adf971393461011",
-    "three-tiers-ttfed": "0de74996dd37ad7b21e21bdea867afd81801d9658613fa954521c0b5e69f215c",
-    "three-tiers-ttfed-equal-bandwidth": "15f909d3ee4f5df035e88be0bbc9e858e2c253cbcbc705db50111f0975026c8a",
-    "three-tiers-ttfed-equal-bandwidth-realization": "0a33f65a85b9d658a7e6e6d34cc99d99e923fa1b8ff9e1306217e97ed1591ab9",
-    "three-tiers-ttfed-equal-weight": "9d46d23ef9ff0baf6615a9192db89f5728850f218afd98e99362ce7f8b91b847",
-    "three-tiers-ttfed-realization": "6b44f48e4632df69512c9764d93efc5f737800ccefd9fbb6f7a7b01fe9057cf5",
+    "budget-fedasync": "b3152bc9585fe85efa6b916aaa5798be9f80f823f17f747ad171d98340e954bb",
+    "budget-fedat": "853a4a65a3fde74c8c651e8f6df2b42a43da2de3ab57391e3fa4fd4505a64556",
+    "budget-fedavg": "c1e294546ea1261ddbf41080d4f8314be0215e737f247ea34d04e45853c78c6f",
+    "budget-ttfed": "a6858773d63ba8e2a30f2181201d150b377f73e18b8df8d7878b592a20fd743a",
+    "one-tier-fedasync": "ae6f59bd0b2d60777476c3cd1d199832cf9652a725d32e4e4ec7d2e5bd8ad310",
+    "one-tier-fedat": "2c8dba81cd0f54214324e01a8ee3dc80a189043210ef1b4f3d3d7886717d60dd",
+    "one-tier-fedavg": "130dc6e1b3d8eaa026f3b8cae08d3a003eab63ffad6709fef5372db19b888eb1",
+    "one-tier-ttfed": "ce42c67d9f610bf21256916cf641c293c42edfa83d6e76c2ff9ee00e28719e95",
+    "three-tiers-fedasync": "9b25569286cfe401f7edb23811995a5e13c2098dd693c003c177e9f62d3f7e59",
+    "three-tiers-fedat": "94bf4986464bc87ce948de6cf19b6d7569d882b28d19b6194b908b8a0b38b038",
+    "three-tiers-fedavg": "4564575cc2e6c50a9543ebf2d720fc23f95b9605b0fa654628729ff1816cc693",
+    "three-tiers-ttfed": "730c0929a708400c058694ad7dcdaeaa6b8aeae217bc8147d2d15af40b71db53",
+    "three-tiers-ttfed-equal-bandwidth": "ea577b8ad2133faafaeb302d9c44f22cf59bc560999868bfafaff545f99e3802",
+    "three-tiers-ttfed-equal-bandwidth-realization": "7d624e51f5da9e3c9c38077c9650a2dbd6bae8f267feb51cda9d5020bd702731",
+    "three-tiers-ttfed-equal-weight": "bf88e3cbfa2cd373a2432e9ac2bbe88e416bb2d8b5809ff64f26ab2c79e36332",
+    "three-tiers-ttfed-realization": "df6a1bc77e2c27443cb8d4b38c0c81d61eb1a1b3a91d70a9346afcc2428426a3",
 }
 
 

@@ -7,7 +7,9 @@ import pytest
 
 from ttfedsim.config import ScenarioConfig
 from ttfedsim.learner import (
+    MODEL_DTYPE,
     MlpArch,
+    _forward,
     class_probabilities,
     evaluate,
     init_params,
@@ -23,6 +25,15 @@ def random_batch(n, seed, arch=ARCH):
     images = rng.uniform(0.0, 1.0, size=(n, arch.in_dim))
     labels = rng.integers(0, arch.out_dim, size=n)
     return images, labels
+
+
+def init64(seed, arch=ARCH):
+    """init_params widened to float64, for the float64 arithmetic checks.
+
+    Models are float32, whose rounding would swamp the 1e-5 steps and the
+    1e-10 tolerances below; the learner computes in whatever it is given.
+    """
+    return init_params(seed, arch).astype(np.float64)
 
 
 class TestArchitecture:
@@ -59,6 +70,107 @@ class TestInit:
         assert np.abs(w[:n1]).max() > 0.9 * lim1  # actually fills the range
 
 
+class TestModelDtype:
+    """Models are float32, and float32 in gives float32 out."""
+
+    def batch32(self, n, seed):
+        images, labels = random_batch(n, seed)
+        return images.astype(np.float32), labels
+
+    def test_model_dtype_is_float32(self):
+        assert MODEL_DTYPE == np.float32
+        assert init_params(0).dtype == np.float32
+        assert init_params(0, MlpArch(in_dim=5, hidden=3, out_dim=2)).dtype == np.float32
+
+    def test_init_rounds_the_float64_draw(self):
+        lim1 = math.sqrt(6.0 / (784 + 50))
+        wide = np.random.default_rng(4).uniform(-lim1, lim1, size=(784, 50))  # W1's draw
+        assert init_params(4)[: 784 * 50].tobytes() == wide.astype(np.float32).tobytes()
+
+    def test_loss_and_gradient(self):
+        images, labels = self.batch32(16, 20)
+        loss, grad = loss_and_gradient(init_params(20), images, labels)
+        assert grad.dtype == np.float32
+        assert isinstance(loss, float) and math.isfinite(loss)
+        loss64, grad64 = loss_and_gradient(init64(20), images.astype(np.float64), labels)
+        assert loss == pytest.approx(loss64, rel=1e-5)
+        np.testing.assert_allclose(grad, grad64, rtol=1e-3, atol=1e-6)
+
+    def test_local_update_and_its_scratch(self):
+        images, labels = self.batch32(30, 21)
+        w = init_params(21)
+        cfg = ScenarioConfig(learning_rate=0.05, local_epochs=2, batch_size=8)
+        work = np.empty_like(w)
+        plain = local_update(w, images, labels, cfg, np.random.default_rng(3))
+        lent = local_update(w, images, labels, cfg, np.random.default_rng(3), work=work)
+        assert plain.dtype == lent.dtype == work.dtype == np.float32
+        assert lent.tobytes() == plain.tobytes()
+
+    def test_minibatches_match_hand_rolled_sgd(self):
+        images, labels = self.batch32(30, 22)
+        w = init_params(22)
+        cfg = ScenarioConfig(learning_rate=0.05, local_epochs=2, batch_size=8)
+        out = local_update(w, images, labels, cfg, np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        expected = w
+        for _ in range(2):
+            order = rng.permutation(30)
+            for start in range(0, 30, 8):
+                idx = order[start : start + 8]
+                _, grad = loss_and_gradient(expected, images[idx], labels[idx])
+                expected = expected - 0.05 * grad
+        assert expected.dtype == np.float32
+        assert out.tobytes() == expected.tobytes()
+
+    def test_probabilities_and_evaluate(self):
+        images, labels = self.batch32(40, 23)
+        probs = class_probabilities(init_params(23), images)
+        assert probs.dtype == np.float32
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
+        acc, loss = evaluate(init_params(23), images, labels)
+        assert isinstance(acc, float) and isinstance(loss, float)
+        acc64, loss64 = evaluate(init64(23), images.astype(np.float64), labels)
+        assert acc == acc64
+        assert loss == pytest.approx(loss64, rel=1e-5)
+
+
+class TestSigmoidSaturation:
+    """Pre-activations past exp's range saturate the sigmoid without a warning.
+
+    float32's exp overflows beyond about 88 and float64's beyond about 709;
+    the pytest configuration turns an overflow warning into a failure.
+    """
+
+    ARCH = MlpArch(in_dim=2, hidden=4, out_dim=3)
+    SATURATING = [(np.float32, 100.0), (np.float64, 1000.0)]
+
+    def saturating_model(self, dtype, scale):
+        w = np.zeros(self.ARCH.param_count, dtype=dtype)
+        w1 = w[:8].reshape(2, 4)
+        w1[0] = [scale, -scale, scale, -scale]
+        w1[1] = [-scale, scale, scale, -scale]
+        w[12:24] = np.linspace(-1.0, 1.0, 12)  # W2, so the logits differ
+        return w
+
+    @pytest.mark.parametrize("dtype, scale", SATURATING)
+    def test_hidden_units_are_exactly_0_or_1(self, dtype, scale):
+        images = np.eye(2, dtype=dtype)
+        hidden = _forward(self.saturating_model(dtype, scale), images, self.ARCH)[0]
+        assert hidden.dtype == dtype
+        np.testing.assert_array_equal(hidden, [[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 1.0, 0.0]])
+
+    @pytest.mark.parametrize("dtype, scale", SATURATING)
+    def test_loss_and_gradient_stay_finite(self, dtype, scale):
+        images = np.eye(2, dtype=dtype)
+        labels = np.array([0, 2])
+        w = self.saturating_model(dtype, scale)
+        loss, grad = loss_and_gradient(w, images, labels, self.ARCH)
+        assert math.isfinite(loss)
+        assert grad.dtype == dtype and np.isfinite(grad).all()
+        acc, loss_eval = evaluate(w, images, labels, self.ARCH)
+        assert math.isfinite(loss_eval) and 0.0 <= acc <= 1.0
+
+
 class TestLossAndGradient:
     def test_uniform_logits_give_log10(self):
         images, labels = random_batch(16, 0)
@@ -67,14 +179,14 @@ class TestLossAndGradient:
 
     def test_softmax_rows_sum_to_one(self):
         images, _ = random_batch(32, 1)
-        probs = class_probabilities(init_params(1), images)
+        probs = class_probabilities(init64(1), images)
         assert probs.shape == (32, 10)
         assert probs.min() > 0.0
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
     def test_duplicated_batch_unchanged(self):
         images, labels = random_batch(8, 2)
-        w = init_params(2)
+        w = init64(2)
         loss_a, grad_a = loss_and_gradient(w, images, labels)
         loss_b, grad_b = loss_and_gradient(
             w, np.concatenate([images, images]), np.concatenate([labels, labels])
@@ -84,7 +196,7 @@ class TestLossAndGradient:
 
     def test_empty_batch(self):
         with pytest.raises(ValueError):
-            loss_and_gradient(init_params(0), np.zeros((0, 784)), np.zeros(0, dtype=int))
+            loss_and_gradient(init64(0), np.zeros((0, 784)), np.zeros(0, dtype=int))
 
     def test_wrong_length_vector(self):
         images, labels = random_batch(4, 3)
@@ -94,7 +206,7 @@ class TestLossAndGradient:
     @pytest.mark.parametrize("seed", range(10))
     def test_gradient_matches_central_differences(self, seed):
         images, labels = random_batch(6, 100 + seed)
-        w = init_params(seed)
+        w = init64(seed)
         _, grad = loss_and_gradient(w, images, labels)
         rng = np.random.default_rng(200 + seed)
         coords = rng.choice(ARCH.param_count, size=50, replace=False)
@@ -113,7 +225,7 @@ class TestLossAndGradient:
 
     def test_gradient_finite(self):
         images, labels = random_batch(8, 4)
-        loss, grad = loss_and_gradient(init_params(4), images, labels)
+        loss, grad = loss_and_gradient(init64(4), images, labels)
         assert math.isfinite(loss)
         assert np.isfinite(grad).all()
 
@@ -121,7 +233,7 @@ class TestLossAndGradient:
 class TestLocalUpdate:
     def test_zero_rate_is_identity(self):
         images, labels = random_batch(10, 5)
-        w = init_params(5)
+        w = init64(5)
         out = local_update(
             w, images, labels, ScenarioConfig(learning_rate=0.0), np.random.default_rng(0)
         )
@@ -130,7 +242,7 @@ class TestLocalUpdate:
 
     def test_full_batch_single_step_exact(self):
         images, labels = random_batch(10, 6)
-        w = init_params(6)
+        w = init64(6)
         cfg = ScenarioConfig(learning_rate=0.05, local_epochs=1, batch_size=10)
         out = local_update(w, images, labels, cfg, np.random.default_rng(0))
         _, grad = loss_and_gradient(w, images, labels)
@@ -138,7 +250,7 @@ class TestLocalUpdate:
 
     def test_oversized_batch_same_as_full(self):
         images, labels = random_batch(10, 6)
-        w = init_params(6)
+        w = init64(6)
         a = local_update(
             w, images, labels, ScenarioConfig(batch_size=10), np.random.default_rng(0)
         )
@@ -150,7 +262,7 @@ class TestLocalUpdate:
     @pytest.mark.parametrize("seed", range(10))
     def test_descent_on_full_batch(self, seed):
         images, labels = random_batch(20, 300 + seed)
-        w = init_params(seed)
+        w = init64(seed)
         loss_before, _ = loss_and_gradient(w, images, labels)
         cfg = ScenarioConfig(learning_rate=0.01, local_epochs=1, batch_size=20)
         out = local_update(w, images, labels, cfg, np.random.default_rng(0))
@@ -159,7 +271,7 @@ class TestLocalUpdate:
 
     def test_shuffled_minibatches_deterministic(self):
         images, labels = random_batch(30, 7)
-        w = init_params(7)
+        w = init64(7)
         cfg = ScenarioConfig(learning_rate=0.02, local_epochs=3, batch_size=8)
         a = local_update(w, images, labels, cfg, np.random.default_rng(99))
         b = local_update(w, images, labels, cfg, np.random.default_rng(99))
@@ -169,7 +281,7 @@ class TestLocalUpdate:
 
     def test_minibatches_match_hand_rolled_sgd(self):
         images, labels = random_batch(30, 12)
-        w = init_params(12)
+        w = init64(12)
         cfg = ScenarioConfig(learning_rate=0.05, local_epochs=3, batch_size=8)
         out = local_update(w, images, labels, cfg, np.random.default_rng(5))
         rng = np.random.default_rng(5)
@@ -184,7 +296,7 @@ class TestLocalUpdate:
 
     def test_lent_scratch_changes_no_bits(self):
         images, labels = random_batch(30, 13)
-        w = init_params(13)
+        w = init64(13)
         w_before, images_before = w.copy(), images.copy()
         cfg = ScenarioConfig(learning_rate=0.05, local_epochs=3, batch_size=8)
         work = np.empty_like(w)
@@ -198,7 +310,7 @@ class TestLocalUpdate:
 
     def test_full_batch_reads_no_stream(self):
         images, labels = random_batch(10, 14)
-        w = init_params(14)
+        w = init64(14)
         cfg = ScenarioConfig(learning_rate=0.05, local_epochs=2, batch_size=10)
         out = local_update(w, images, labels, cfg, None, work=np.empty_like(w))
         expected = local_update(w, images, labels, cfg, np.random.default_rng(0))
@@ -206,7 +318,7 @@ class TestLocalUpdate:
 
     def test_updates_stay_finite(self):
         images, labels = random_batch(30, 8)
-        w = init_params(8)
+        w = init64(8)
         cfg = ScenarioConfig(learning_rate=0.5, local_epochs=5, batch_size=8)
         out = local_update(w, images, labels, cfg, np.random.default_rng(0))
         assert np.isfinite(out).all()
@@ -214,7 +326,7 @@ class TestLocalUpdate:
     def test_empty_shard(self):
         with pytest.raises(ValueError):
             local_update(
-                init_params(0),
+                init64(0),
                 np.zeros((0, 784)),
                 np.zeros(0, dtype=int),
                 ScenarioConfig(),
@@ -246,7 +358,7 @@ class TestEvaluate:
 
     def test_trained_beats_chance(self):
         images, labels = random_batch(50, 10)
-        w = init_params(10)
+        w = init64(10)
         cfg = ScenarioConfig(learning_rate=0.5, local_epochs=40, batch_size=50)
         out = local_update(w, images, labels, cfg, np.random.default_rng(0))
         acc_after, _ = evaluate(out, images, labels)
@@ -254,9 +366,9 @@ class TestEvaluate:
 
     def test_deterministic(self):
         images, labels = random_batch(20, 11)
-        w = init_params(11)
+        w = init64(11)
         assert evaluate(w, images, labels) == evaluate(w, images, labels)
 
     def test_empty_set(self):
         with pytest.raises(ValueError):
-            evaluate(init_params(0), np.zeros((0, 784)), np.zeros(0, dtype=int))
+            evaluate(init64(0), np.zeros((0, 784)), np.zeros(0, dtype=int))
