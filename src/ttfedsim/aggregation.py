@@ -53,19 +53,11 @@ def fedavg_aggregate(uploads: Iterable[Upload]) -> np.ndarray:
     return acc
 
 
-def fedasync_aggregate(
-    w_prev: np.ndarray, w_new: np.ndarray, psi: float, *, overwrite_new: bool = False
-) -> np.ndarray:
-    """Mix one arriving model into the global one: psi*new + (1-psi)*prev.
-
-    With overwrite_new, w_new's buffer holds psi*new on return, so that a
-    caller which has no further use for w_new allocates only the result.
-    """
+def fedasync_aggregate(w_prev: np.ndarray, w_new: np.ndarray, psi: float) -> np.ndarray:
+    """Mix one arriving model into the global one: psi*new + (1-psi)*prev."""
     if not 0.0 < psi < 1.0:
         raise ValueError(f"psi must lie in (0, 1), got {psi}")
-    mixed = (1.0 - psi) * w_prev
-    mixed += np.multiply(w_new, psi, out=w_new if overwrite_new else None)
-    return mixed
+    return psi * w_new + (1.0 - psi) * w_prev
 
 
 def fedat_aggregate(tier_models: Sequence[np.ndarray], weights: Sequence[float]) -> np.ndarray:

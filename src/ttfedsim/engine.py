@@ -248,7 +248,6 @@ def setup_scenario(
         seed=derive_seed(cfg.seed, TAG_PARTITION),
     )
     data_sizes = np.array([s.size for s in shards], dtype=np.float64)
-    train_images = train.images.astype(MODEL_DTYPE)
     if cfg.cpu_freq_max_hz is not None:
         freqs = substream(cfg.seed, TAG_CPU).uniform(
             cfg.cpu_freq_hz, cfg.cpu_freq_max_hz, cfg.users
@@ -274,7 +273,7 @@ def setup_scenario(
         params=params,
         arch=arch,
         distances=distances,
-        shard_images=[train_images[s.indices] for s in shards],
+        shard_images=[train.images[s.indices].astype(MODEL_DTYPE) for s in shards],
         shard_labels=[train.labels[s.indices] for s in shards],
         data_sizes=data_sizes,
         test_images=test.images.astype(MODEL_DTYPE),
@@ -463,8 +462,8 @@ class _FedAsync(_Rule):
         self.members = {u: [u] for u in self.periods}
 
     def merge(self, key, index, w, survivors, upload):
-        for u in survivors:  # the trained model is held nowhere else
-            w = fedasync_aggregate(w, upload(u)[1], self.sc.config.psi, overwrite_new=True)
+        for u in survivors:
+            w = fedasync_aggregate(w, upload(u)[1], self.sc.config.psi)
         return w
 
 

@@ -1,8 +1,16 @@
 """Shared fixtures for the test suite."""
 
-import pytest
+import os
 
-from ttfedsim.wireless import ChannelParams
+# A run's trajectory depends on the BLAS thread count, so the suite pins one
+# thread, as perfbench/run.py does. BLAS reads this once, when numpy is first
+# imported, which is after this module on every path that loads it.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import pytest  # noqa: E402
+
+from ttfedsim.wireless import ChannelParams  # noqa: E402
 
 
 @pytest.fixture

@@ -181,37 +181,6 @@ class TestModelDtype:
         assert peak < 2.1 * models[0].nbytes  # the result and one float32 product
 
 
-class TestFedAsyncOverwrite:
-    """overwrite_new lends w_new's buffer to the psi*new product."""
-
-    def test_same_bits_and_a_fresh_result(self):
-        rng = np.random.default_rng(0)
-        prev, new = rng.normal(size=(2, 1000)).astype(np.float32)
-        prev_before, new_before = prev.copy(), new.copy()
-        plain = fedasync_aggregate(prev, new, 0.3)
-        assert new.tobytes() == new_before.tobytes()
-        out = fedasync_aggregate(prev, new, 0.3, overwrite_new=True)
-        assert out.tobytes() == plain.tobytes()
-        assert out.tobytes() == (0.3 * new_before + (1.0 - 0.3) * prev_before).tobytes()
-        assert prev.tobytes() == prev_before.tobytes()
-        assert new.tobytes() == (0.3 * new_before).tobytes()
-        assert not np.shares_memory(out, new) and not np.shares_memory(out, prev)
-
-    def test_allocates_only_the_result(self):
-        prev = np.full(1_000_000, 2.0, dtype=np.float32)
-        new = np.full(1_000_000, 4.0, dtype=np.float32)
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            out = fedasync_aggregate(prev, new, 0.5, overwrite_new=True)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert out[0] == 3.0
-        assert peak < 1.1 * prev.nbytes
-
-
 class TestTierWeights:
     def test_three_tier_example(self):
         fracs = ttfed_tier_weight_fractions(6, 3)
