@@ -3,8 +3,8 @@
 import os
 
 # A run's trajectory depends on the BLAS thread count, so the suite pins one
-# thread, as perfbench/run.py does. BLAS reads this once, when numpy is first
-# imported, which is after this module on every path that loads it.
+# thread, as perfbench/run.py does. BLAS reads these once, when numpy is
+# first imported, and pytest loads this file before any test module.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
