@@ -42,8 +42,8 @@ def fedavg_aggregate(uploads: Iterable[Upload]) -> np.ndarray:
         if size < 0:
             raise ValueError(f"negative data size {size}")
         if acc is None:
-            acc = np.zeros_like(w)
-        acc += size * w
+            acc, scaled = np.zeros_like(w), np.empty_like(w)
+        acc += np.multiply(size, w, out=scaled)
         total += size
     if acc is None:
         raise EmptyUploadError("no uploads to aggregate")
@@ -57,7 +57,9 @@ def fedasync_aggregate(w_prev: np.ndarray, w_new: np.ndarray, psi: float) -> np.
     """Mix one arriving model into the global one: psi*new + (1-psi)*prev."""
     if not 0.0 < psi < 1.0:
         raise ValueError(f"psi must lie in (0, 1), got {psi}")
-    return psi * w_new + (1.0 - psi) * w_prev
+    out = np.multiply(psi, w_new)
+    out += (1.0 - psi) * w_prev
+    return out
 
 
 def fedat_aggregate(tier_models: Sequence[np.ndarray], weights: Sequence[float]) -> np.ndarray:

@@ -144,8 +144,16 @@ def synthetic_digits(
         labels = np.arange(n, dtype=np.int64) % NUM_CLASSES
         confusers = rng.integers(0, NUM_CLASSES, size=n)
         lam = rng.uniform(0.0, mix_max, size=n)[:, None]
-        base = (1.0 - lam) * protos[labels] + lam * protos[confusers]
-        images = base + noise * rng.standard_normal((n, dim))
+        # (1 - lam) * protos[labels] + lam * protos[confusers] + noise * N(0, 1),
+        # built in place in two arrays of the dataset's size
+        images = protos[labels]
+        images *= 1.0 - lam
+        other = protos[confusers]
+        other *= lam
+        images += other
+        rng.standard_normal(out=other)
+        other *= noise
+        images += other
         np.clip(images, 0.0, 1.0, out=images)
         return LabeledDataset(images=images, labels=labels)
 

@@ -8,7 +8,9 @@ The algorithms differ only in their rule: when events happen (a fixed
 grid for ttfed and fedavg, a queue of per-user or per-tier cadences for
 fedasync and fedat), who is in the cohort, who may upload with what
 bandwidth, and how uploads merge. A rule trains each upload as it folds
-it in, so no more than one local model is held at a time. Schedule
+it in, so no more than one local model is held at a time, and the run
+keeps the model it dispatched to a cohort only while that cohort has
+another event within the budget. Schedule
 timing uses nominal link delays (mean fading, equal bandwidth shares) so
 cadences are deterministic; realized fading only decides whether an
 upload survives. All randomness comes from
@@ -311,24 +313,30 @@ def _fading(sc: Scenario, u: int, event_idx: int) -> float:
     return wireless.draw_fading(substream(sc.config.seed, TAG_CHANNEL, u, event_idx))
 
 
-def _clock(periods: dict, budget: float, grid: bool) -> Iterator[tuple[float, object, int]]:
-    """Events as (time, cohort key, the cohort's event index), in time order.
+def _clock(
+    periods: dict, budget: float, grid: bool
+) -> Iterator[tuple[float, object, int, bool]]:
+    """Events as (time, cohort key, the cohort's event index, whether it fires again).
 
     A grid has a single cohort and puts its k-th event at exactly
     k * period. Otherwise each cohort fires every `periods[key]` seconds
     on an accumulated clock, and simultaneous events go in key order.
+    The last flag is False at a cohort's last event within the budget.
     """
     if grid:
         ((key, period),) = periods.items()
-        for k in range(1, int(math.floor(budget / period + _TIME_EPS)) + 1):
-            yield k * period, key, k
+        last = int(math.floor(budget / period + _TIME_EPS))
+        for k in range(1, last + 1):
+            yield k * period, key, k, k < last
         return
-    heap = [(period, key, 1) for key, period in periods.items()]
+    heap = [(period, key, 1) for key, period in periods.items() if period <= budget + _TIME_EPS]
     heapq.heapify(heap)
-    while heap and heap[0][0] <= budget + _TIME_EPS:
+    while heap:
         t, key, index = heapq.heappop(heap)
-        yield t, key, index
-        heapq.heappush(heap, (t + periods[key], key, index + 1))
+        again = t + periods[key] <= budget + _TIME_EPS
+        yield t, key, index, again
+        if again:
+            heapq.heappush(heap, (t + periods[key], key, index + 1))
 
 
 class _Rule:
@@ -551,7 +559,7 @@ def run(
         return float(sc.data_sizes[u]), _train_user(sc, u, *sent[u], work=work)
 
     events = 0
-    for t, key, index in _clock(rule.periods, budget, rule.synchronous):
+    for t, key, index, again in _clock(rule.periods, budget, rule.synchronous):
         events += 1
         users = rule.cohort(key, index)
         fading = {u: _fading(sc, u, index) for u in users}
@@ -569,8 +577,11 @@ def run(
             metrics.downlink_broadcasts += 1
         else:
             metrics.downlink_unicasts += len(users)
-        for u in users:
-            sent[u] = (w, index)
+        for u in users:  # a cohort with no further event never trains from its model
+            if again:
+                sent[u] = (w, index)
+            else:
+                del sent[u]
         if trace is not None:
             trace.append(w.copy())
         if events % stride == 0:

@@ -74,21 +74,13 @@ def init_params(seed: int, arch: MlpArch = MlpArch()) -> np.ndarray:
     return w.astype(MODEL_DTYPE)
 
 
-def _forward(w: np.ndarray, images: np.ndarray, arch: MlpArch):
-    """(hidden, shifted logits, softmax probabilities, softmax row sums).
-
-    The row sums are the softmax denominators, which the log-sum-exp of
-    the loss reuses. All four arrays are new; the sigmoid and the softmax
-    are computed in place in them. A pre-activation below about -88 in
-    float32 (-709 in float64) overflows exp(-x) to inf, which is how the
-    sigmoid saturates to exactly 0, so that overflow is not reported.
-    """
-    w1, b1, w2, b2 = _views(w, arch)
+def _pass(layers, images: np.ndarray):
+    """_forward on the (W1, b1, W2, b2) views; the caller ignores overflow."""
+    w1, b1, w2, b2 = layers
     hidden = images @ w1
     hidden += b1
     np.negative(hidden, out=hidden)
-    with np.errstate(over="ignore"):
-        np.exp(hidden, out=hidden)
+    np.exp(hidden, out=hidden)
     hidden += 1.0
     np.divide(1.0, hidden, out=hidden)
     shifted = hidden @ w2
@@ -100,32 +92,50 @@ def _forward(w: np.ndarray, images: np.ndarray, arch: MlpArch):
     return hidden, shifted, probs, sums
 
 
+def _forward(w: np.ndarray, images: np.ndarray, arch: MlpArch):
+    """(hidden, shifted logits, softmax probabilities, softmax row sums).
+
+    The row sums are the softmax denominators, which the log-sum-exp of
+    the loss reuses. All four arrays are new; the sigmoid and the softmax
+    are computed in place in them. A pre-activation below about -88 in
+    float32 (-709 in float64) overflows exp(-x) to inf, which is how the
+    sigmoid saturates to exactly 0, so that overflow is not reported.
+    """
+    with np.errstate(over="ignore"):
+        return _pass(_views(w, arch), images)
+
+
 def _mean_cross_entropy(shifted: np.ndarray, sums: np.ndarray, labels: np.ndarray) -> float:
     picked = shifted[np.arange(len(labels)), labels] - np.log(sums[:, 0])
     return -float(picked.mean())
 
 
 def _gradient(
-    w: np.ndarray, images: np.ndarray, labels: np.ndarray, g: np.ndarray, arch: MlpArch
+    layers, images: np.ndarray, labels: np.ndarray, grads
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Write the batch's mean cross-entropy gradient into g, in w's layout.
+    """Write the batch's mean cross-entropy gradient into the `grads` views.
 
-    Returns the forward pass's shifted logits and softmax row sums, from
-    which the loss follows. Only g and arrays made here are written.
+    `layers` and `grads` are `_views` of the model and of the gradient
+    vector. Returns the forward pass's shifted logits and softmax row
+    sums, from which the loss follows. Only `grads` and arrays made here
+    are written; the caller ignores overflow, as for `_forward`.
     """
     n = len(labels)
-    _, _, w2, _ = _views(w, arch)
-    g1, gb1, g2, gb2 = _views(g, arch)
-    hidden, shifted, d_logits, sums = _forward(w, images, arch)
+    g1, gb1, g2, gb2 = grads
+    hidden, shifted, d_logits, sums = _pass(layers, images)
     d_logits[np.arange(n), labels] -= 1.0
     d_logits /= n
-    np.matmul(hidden.T, d_logits, out=g2)
+    # For a one-row batch, matmul sends the (dim, 1) transposed view, whose
+    # size-1 axis has a row-sized stride, through its slow non-BLAS loop;
+    # np.dot does not, and a product without a sum is exact either way.
+    product = np.dot if n == 1 else np.matmul
+    product(hidden.T, d_logits, out=g2)
     d_logits.sum(axis=0, out=gb2)
-    d_hidden = d_logits @ w2.T
+    d_hidden = d_logits @ layers[2].T
     d_hidden *= hidden
     np.subtract(1.0, hidden, out=hidden)
     d_hidden *= hidden
-    np.matmul(images.T, d_hidden, out=g1)
+    product(images.T, d_hidden, out=g1)
     d_hidden.sum(axis=0, out=gb1)
     return shifted, sums
 
@@ -142,7 +152,8 @@ def loss_and_gradient(
     if len(labels) == 0:
         raise ValueError("empty batch")
     g = np.empty_like(w)
-    shifted, sums = _gradient(w, images, labels, g, arch)
+    with np.errstate(over="ignore"):
+        shifted, sums = _gradient(_views(w, arch), images, labels, _views(g, arch))
     return _mean_cross_entropy(shifted, sums, labels), g
 
 
@@ -178,19 +189,23 @@ def local_update(
     if n == 0:
         raise ValueError("empty shard")
     g = np.empty_like(w_in) if work is None else work
-    w = w_in.copy()
+    w = np.empty_like(w_in)
+    grads, layers = _views(g, arch), _views(w, arch)
+    src, at = w_in, _views(w_in, arch)  # the first step reads w_in, later ones w
     size = cfg.batch_size
-    for _ in range(cfg.local_epochs):
-        if size >= n:
-            batches = [(images, labels)]
-        else:
-            order = rng.permutation(n)
-            slices = (order[start : start + size] for start in range(0, n, size))
-            batches = ((images[idx], labels[idx]) for idx in slices)
-        for batch_images, batch_labels in batches:
-            _gradient(w, batch_images, batch_labels, g, arch)
-            np.multiply(g, cfg.learning_rate, out=g)
-            w -= g
+    with np.errstate(over="ignore"):  # see _forward
+        for _ in range(cfg.local_epochs):
+            if size >= n:
+                batches = [(images, labels)]
+            else:
+                order = rng.permutation(n)
+                slices = (order[start : start + size] for start in range(0, n, size))
+                batches = ((images[idx], labels[idx]) for idx in slices)
+            for batch_images, batch_labels in batches:
+                _gradient(at, batch_images, batch_labels, grads)
+                np.multiply(g, cfg.learning_rate, out=g)
+                np.subtract(src, g, out=w)
+                src, at = w, layers
     return w
 
 

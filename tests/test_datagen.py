@@ -145,6 +145,25 @@ class TestSyntheticDigits:
             hist = np.bincount(train.labels[: k * 10], minlength=10)
             assert (hist == k).all()
 
+    @pytest.mark.parametrize(
+        ("train_per_class", "test_per_class", "seed"), [(3, 2, 0), (7, 5, 12)]
+    )
+    def test_matches_the_one_line_definition(self, train_per_class, test_per_class, seed):
+        """The in-place build gives the bytes of the plain expression, same stream order."""
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(101,)))
+        protos = rng.random((10, 784))
+        expected = []
+        for per_class in (train_per_class, test_per_class):
+            n = 10 * per_class
+            labels = np.arange(n) % 10
+            confusers = rng.integers(0, 10, size=n)
+            lam = rng.uniform(0.0, 0.5, size=n)[:, None]
+            base = (1.0 - lam) * protos[labels] + lam * protos[confusers]
+            expected.append(np.clip(base + 0.6 * rng.standard_normal((n, 784)), 0.0, 1.0))
+        got = synthetic_digits(train_per_class, test_per_class, seed)
+        for dataset, images in zip(got, expected):
+            assert dataset.images.tobytes() == images.tobytes()
+
     def test_seeds_differ(self):
         a, _ = synthetic_digits(5, 1, seed=1)
         b, _ = synthetic_digits(5, 1, seed=2)

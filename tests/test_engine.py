@@ -452,6 +452,50 @@ class TestRunDispatch:
         assert most_alive <= 2
 
 
+    @pytest.mark.parametrize("name", ["fedasync", "fedat"])
+    def test_a_model_lives_only_while_its_cohort_fires_again(self, name, monkeypatch):
+        """After each event, alive global models <= cohorts with a later event + 2.
+
+        The two are the current model and the last one scored; every other
+        model alive must be the dispatched model of a cohort that trains again.
+        """
+        made, worst = [], []
+        clock = engine._clock
+
+        def tracked_clock(periods, budget, grid):
+            events = list(clock(periods, budget, grid))
+            for i, event in enumerate(events):
+                yield event
+                firing_again = len({later[1] for later in events[i + 1 :]})
+                alive = sum(ref() is not None for ref in made)
+                worst.append(alive - firing_again)
+
+        def tracked(merge):
+            def merged(*args):
+                w = merge(*args)
+                made.append(weakref.ref(w))
+                return w
+
+            return merged
+
+        monkeypatch.setattr(engine, "_clock", tracked_clock)
+        for merge in ("fedasync_aggregate", "fedat_aggregate"):
+            monkeypatch.setattr(engine, merge, tracked(getattr(engine, merge)))
+        # three populated tiers (7 fedat events), and fedasync users that fire 1-5 times
+        cfg = toy_config(
+            algorithm=name,
+            users=10,
+            radius_m=200.0,
+            zipf_eta=1.0,
+            cpu_freq_max_hz=5e9,
+            delta_t_frac=0.2,
+            rounds=10,
+        )
+        metrics = run(cfg)
+        assert len(made) >= 7 and len(worst) == metrics.evals[-1].round
+        assert max(worst) <= 2
+
+
 class TestTrainingStreams:
     @pytest.mark.parametrize("name", ["ttfed", "fedavg", "fedasync", "fedat"])
     @pytest.mark.parametrize("batch_size", [8, 34])

@@ -122,6 +122,30 @@ class TestModelDtype:
         assert expected.dtype == np.float32
         assert out.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize(("n", "batch_size"), [(1, 32), (33, 32)])
+    def test_one_row_batches_match_hand_rolled_sgd(self, n, batch_size):
+        """A shard of one, and a shard whose last batch is one row."""
+        images, labels = self.batch32(n, 24)
+        w = init_params(24)
+        cfg = ScenarioConfig(learning_rate=0.05, local_epochs=2, batch_size=batch_size)
+        out = local_update(w, images, labels, cfg, np.random.default_rng(7))
+        rng = np.random.default_rng(7)
+        expected = w
+        for _ in range(2):
+            order = rng.permutation(n) if batch_size < n else np.arange(n)
+            for start in range(0, n, batch_size):
+                idx = order[start : start + batch_size]
+                _, grad = loss_and_gradient(expected, images[idx], labels[idx])
+                expected = expected - 0.05 * grad
+        assert out.tobytes() == expected.tobytes()
+
+    def test_one_row_gradient_is_an_exact_outer_product(self):
+        """For one row, dL/dW1 = x (dL/db1)^T with each entry a single rounded product."""
+        images, labels = self.batch32(1, 25)
+        _, grad = loss_and_gradient(init_params(25), images, labels)
+        w1_grad, b1_grad = grad[: 784 * 50].reshape(784, 50), grad[784 * 50 : 784 * 50 + 50]
+        assert w1_grad.tobytes() == np.outer(images[0], b1_grad).tobytes()
+
     def test_probabilities_and_evaluate(self):
         images, labels = self.batch32(40, 23)
         probs = class_probabilities(init_params(23), images)
