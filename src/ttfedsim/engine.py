@@ -10,12 +10,11 @@ fedasync and fedat), who is in the cohort, who may upload with what
 bandwidth, and how uploads merge. A rule trains each upload as it folds
 it in, so no more than one local model is held at a time, and the run
 keeps the model it dispatched to a cohort only while that cohort has
-another event within the budget. Schedule
-timing uses nominal link delays (mean fading, equal bandwidth shares) so
-cadences are deterministic; realized fading only decides whether an
-upload survives. All randomness comes from
-per-purpose sub-streams of the master seed, so trajectories are
-reproducible bit-for-bit regardless of execution order.
+another event within the budget. Schedule timing uses nominal link
+delays (mean fading, equal bandwidth shares) so cadences are
+deterministic; realized fading only decides whether an upload survives.
+All randomness comes from per-purpose sub-streams of the master seed, so
+trajectories are reproducible bit-for-bit regardless of execution order.
 """
 
 from __future__ import annotations
@@ -333,10 +332,11 @@ def _clock(
     heapq.heapify(heap)
     while heap:
         t, key, index = heapq.heappop(heap)
-        again = t + periods[key] <= budget + _TIME_EPS
+        following = t + periods[key]
+        again = following <= budget + _TIME_EPS
         yield t, key, index, again
         if again:
-            heapq.heappush(heap, (t + periods[key], key, index + 1))
+            heapq.heappush(heap, (following, key, index + 1))
 
 
 class _Rule:

@@ -121,6 +121,7 @@ def _gradient(
     are written; the caller ignores overflow, as for `_forward`.
     """
     n = len(labels)
+    _, _, w2, _ = layers
     g1, gb1, g2, gb2 = grads
     hidden, shifted, d_logits, sums = _pass(layers, images)
     d_logits[np.arange(n), labels] -= 1.0
@@ -131,7 +132,7 @@ def _gradient(
     product = np.dot if n == 1 else np.matmul
     product(hidden.T, d_logits, out=g2)
     d_logits.sum(axis=0, out=gb2)
-    d_hidden = d_logits @ layers[2].T
+    d_hidden = d_logits @ w2.T
     d_hidden *= hidden
     np.subtract(1.0, hidden, out=hidden)
     d_hidden *= hidden
@@ -191,7 +192,7 @@ def local_update(
     g = np.empty_like(w_in) if work is None else work
     w = np.empty_like(w_in)
     grads, layers = _views(g, arch), _views(w, arch)
-    src, at = w_in, _views(w_in, arch)  # the first step reads w_in, later ones w
+    src, src_layers = w_in, _views(w_in, arch)  # the first step reads w_in, later ones w
     size = cfg.batch_size
     with np.errstate(over="ignore"):  # see _forward
         for _ in range(cfg.local_epochs):
@@ -202,10 +203,10 @@ def local_update(
                 slices = (order[start : start + size] for start in range(0, n, size))
                 batches = ((images[idx], labels[idx]) for idx in slices)
             for batch_images, batch_labels in batches:
-                _gradient(at, batch_images, batch_labels, grads)
+                _gradient(src_layers, batch_images, batch_labels, grads)
                 np.multiply(g, cfg.learning_rate, out=g)
                 np.subtract(src, g, out=w)
-                src, at = w, layers
+                src, src_layers = w, layers
     return w
 
 

@@ -451,7 +451,6 @@ class TestRunDispatch:
         assert len(trained) == metrics.success_total > 2
         assert most_alive <= 2
 
-
     @pytest.mark.parametrize("name", ["fedasync", "fedat"])
     def test_a_model_lives_only_while_its_cohort_fires_again(self, name, monkeypatch):
         """After each event, alive global models <= cohorts with a later event + 2.
