@@ -20,7 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .streams import substream
+
 NUM_CLASSES = 10
+
+# synthetic_digits: pixels per image, noise scale, cap on the confuser's weight
+_SYNTH_DIM = 784
+_SYNTH_NOISE = 0.6
+_SYNTH_MIX_MAX = 0.5
 
 _IMAGES_MAGIC = 0x00000803
 _LABELS_MAGIC = 0x00000801
@@ -120,31 +127,26 @@ def training_subset(dataset: LabeledDataset, per_class: int) -> LabeledDataset:
 
 
 def synthetic_digits(
-    train_per_class: int,
-    test_per_class: int,
-    seed: int,
-    dim: int = 784,
-    noise: float = 0.6,
-    mix_max: float = 0.5,
+    train_per_class: int, test_per_class: int, seed: int
 ) -> tuple[LabeledDataset, LabeledDataset]:
     """Deterministic MNIST-shaped stand-in dataset.
 
-    Each class is a fixed random prototype in [0,1]^dim. A sample blends
+    Each class is a fixed random prototype in [0,1]^784. A sample blends
     its class prototype with a random confuser prototype (mixing weight
-    uniform in [0, mix_max]) and adds Gaussian noise, clipped back to
-    [0,1]. The blending caps attainable accuracy below 1.0 so learning
-    curves keep an MNIST-like plateau instead of saturating. Labels
-    cycle 0..9 so any prefix stays balanced.
+    uniform in [0, 0.5]) and adds Gaussian noise of scale 0.6, clipped
+    back to [0,1]. The blending caps attainable accuracy below 1.0 so
+    learning curves keep an MNIST-like plateau instead of saturating.
+    Labels cycle 0..9 so any prefix stays balanced.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(101,)))
-    protos = rng.random((NUM_CLASSES, dim))
+    rng = substream(seed, 101)
+    protos = rng.random((NUM_CLASSES, _SYNTH_DIM))
 
     def make(per_class: int) -> LabeledDataset:
         n = per_class * NUM_CLASSES
         labels = np.arange(n, dtype=np.int64) % NUM_CLASSES
         confusers = rng.integers(0, NUM_CLASSES, size=n)
-        lam = rng.uniform(0.0, mix_max, size=n)[:, None]
-        # (1 - lam) * protos[labels] + lam * protos[confusers] + noise * N(0, 1),
+        lam = rng.uniform(0.0, _SYNTH_MIX_MAX, size=n)[:, None]
+        # (1 - lam) * protos[labels] + lam * protos[confusers] + _SYNTH_NOISE * N(0, 1),
         # built in place in two arrays of the dataset's size
         images = protos[labels]
         images *= 1.0 - lam
@@ -152,7 +154,7 @@ def synthetic_digits(
         other *= lam
         images += other
         rng.standard_normal(out=other)
-        other *= noise
+        other *= _SYNTH_NOISE
         images += other
         np.clip(images, 0.0, 1.0, out=images)
         return LabeledDataset(images=images, labels=labels)
@@ -260,9 +262,7 @@ def partition(
     """
     if dataset.count == 0:
         raise ValueError("cannot partition an empty dataset")
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(11,))
-    )
+    rng = substream(seed, 11)
     sizes = zipf_sizes(dataset.count, num_users, zipf_eta)
     priors = dataset.class_priors()
 

@@ -228,16 +228,14 @@ def _load_datasets(cfg: ScenarioConfig) -> tuple[LabeledDataset, LabeledDataset]
     return synthetic_digits(cfg.train_per_class, cfg.test_per_class, cfg.data_seed)
 
 
-def setup_scenario(
-    cfg: ScenarioConfig, data: tuple[LabeledDataset, LabeledDataset] | None = None
-) -> Scenario:
+def setup_scenario(cfg: ScenarioConfig) -> Scenario:
     """Materialize users, shards, channel and tier structure for a config.
 
     Shards and the test set hold the images as MODEL_DTYPE, the dtype the
     learner trains and scores in; the datasets themselves stay float64.
     """
     cfg.validate()
-    train, test = data if data is not None else _load_datasets(cfg)
+    train, test = _load_datasets(cfg)
     arch = MlpArch(in_dim=train.images.shape[1], hidden=cfg.hidden_width, out_dim=10)
     params = cfg.channel_params(model_bits=float(arch.param_count * cfg.bits_per_param))
     distances = place_users(cfg.users, cfg.radius_m, substream(cfg.seed, TAG_PLACEMENT))

@@ -141,11 +141,6 @@ def _gradient(
     return shifted, sums
 
 
-def class_probabilities(w: np.ndarray, images: np.ndarray, arch: MlpArch = MlpArch()) -> np.ndarray:
-    """Per-sample softmax class probabilities, rows summing to 1."""
-    return _forward(w, images, arch)[2]
-
-
 def loss_and_gradient(
     w: np.ndarray, images: np.ndarray, labels: np.ndarray, arch: MlpArch = MlpArch()
 ) -> tuple[float, np.ndarray]:

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import weakref
 
@@ -26,7 +27,7 @@ from ttfedsim.config import (
     load_config,
     parse_config_text,
 )
-from ttfedsim.engine import run
+from ttfedsim.engine import run, setup_scenario
 
 from test_datagen import write_idx_images, write_idx_labels
 
@@ -299,6 +300,26 @@ class TestSweepCommand:
                 summary = json.load(fh)
             assert "0.9" in summary["target_crossings"]
             assert summary["uplink_msgs"] == int(row["uplink_msgs"])
+
+    def test_interval_study_at_a_fixed_budget(self, toy_cfg_file, tmp_path):
+        """The README's interval study: one absolute budget, the interval swept."""
+        cycle = setup_scenario(build_config(parse_config_text(TOY_CFG))).round_time
+        budget = 3.3 * cycle  # not a multiple of either interval
+        out = tmp_path / "interval"
+        argv = ["sweep", "--config", toy_cfg_file, "--axis", "sim.delta_t_frac=0.5,1.0"]
+        argv += ["--override", f"sim.time_budget_s={budget!r}", "--out-dir", str(out)]
+        assert main(argv) == 0
+        tiers = []
+        for entry in json.loads((out / "manifest.json").read_text())["runs"]:
+            with open(entry["summary_json"]) as fh:
+                summary = json.load(fh)
+            rounds = math.floor(budget / summary["delta_t_s"] + 1e-9)
+            assert summary["downlink_broadcasts"] == rounds
+            with open(entry["metrics_csv"]) as fh:
+                last = list(csv.DictReader(fh))[-1]
+            assert float(last["time_s"]) <= budget
+            tiers.append(summary["num_tiers"])
+        assert tiers == sorted(tiers, reverse=True)
 
     def test_bad_axis_is_config_error(self, toy_cfg_file, tmp_path, capsys):
         rc = main(

@@ -216,9 +216,16 @@ class TestWithUpdates:
             with_updates(ScenarioConfig(), users=0)
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def readme_text() -> str:
+    return (ROOT / "README.md").read_text(encoding="utf-8")
+
+
 def readme_key_table() -> dict[str, tuple[str, str]]:
     """README configuration table: key -> (documented default, meaning)."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    text = readme_text()
     rows = re.findall(r"^\| `([a-z_]+\.[a-z_]+)` \| (.*?) \| (.*?) \|$", text, re.MULTILINE)
     return {key: (default, meaning) for key, default, meaning in rows}
 
@@ -249,3 +256,19 @@ class TestReadmeKeyTable:
                 assert actual in (None, ""), key
             else:
                 assert parser(default.strip("`")) == actual, key
+
+
+class TestReadmeDescribesTheTree:
+    def test_layout_lists_exactly_the_modules(self):
+        layout = readme_text().split("## Layout", 1)[1].split("```")[1]
+        listed = re.findall(r"^  (\w+\.py) ", layout, re.MULTILINE)
+        modules = [p.name for p in (ROOT / "src" / "ttfedsim").glob("*.py")]
+        assert sorted(listed) == sorted(m for m in modules if m != "__init__.py")
+
+    def test_named_paths_exist(self):
+        prose = "".join(readme_text().split("```")[::2])  # fenced blocks dropped
+        spans = re.findall(r"`([^`]+)`", prose)
+        roots = ("configs/", "scripts/", "tests/", "perfbench/", "src/")
+        paths = [s for s in spans if s.startswith(roots)]
+        assert paths
+        assert [p for p in paths if not (ROOT / p).exists()] == []

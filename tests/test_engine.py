@@ -621,3 +621,46 @@ class TestInvariants:
             assert times == sorted(times)
             assert times[-1] <= sc.budget_s + 1e-9 * max(1.0, sc.budget_s)
             assert metrics.evals[-1].round == events
+
+    @pytest.mark.parametrize("scheduling_fading", FADING_MODES)
+    @pytest.mark.parametrize("policy", POLICIES)
+    @given(
+        users=st.integers(1, 12),
+        delta_t_frac=st.floats(0.1, 1.0),
+        radius_m=st.floats(10.0, 1200.0),
+        total_bandwidth_hz=st.floats(1e5, 2e7),
+        greedy_skip=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_ttfed_plans_stay_within_the_bandwidth(self, policy, scheduling_fading, **drawn):
+        cfg = ScenarioConfig(
+            **drawn,
+            policy=policy,
+            scheduling_fading=scheduling_fading,
+            rounds=6,
+            train_per_class=2,
+            test_per_class=2,
+            hidden_width=4,
+            cpu_freq_max_hz=5e9,
+        )
+        plans = []
+
+        def recording(planner):
+            def plan(qualified, budget, *args):
+                result = planner(qualified, budget, *args)
+                plans.append((budget, result))
+                return result
+
+            return plan
+
+        trace = []
+        with pytest.MonkeyPatch.context() as patch:
+            for name in ("select_users", "equal_share_plan"):
+                patch.setattr(engine.allocator, name, recording(getattr(allocator, name)))
+            run(cfg, trace=trace)
+        assert len(plans) == len(trace)  # one plan per event
+        total = cfg.total_bandwidth_hz
+        for budget, plan in plans:
+            assert budget == total
+            assert sum(plan.bandwidth[u] for u in plan.selected) <= total * (1.0 + 1e-12)

@@ -10,7 +10,6 @@ from ttfedsim.learner import (
     MODEL_DTYPE,
     MlpArch,
     _forward,
-    class_probabilities,
     evaluate,
     init_params,
     local_update,
@@ -148,7 +147,7 @@ class TestModelDtype:
 
     def test_probabilities_and_evaluate(self):
         images, labels = self.batch32(40, 23)
-        probs = class_probabilities(init_params(23), images)
+        probs = _forward(init_params(23), images, ARCH)[2]
         assert probs.dtype == np.float32
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
         acc, loss = evaluate(init_params(23), images, labels)
@@ -203,7 +202,7 @@ class TestLossAndGradient:
 
     def test_softmax_rows_sum_to_one(self):
         images, _ = random_batch(32, 1)
-        probs = class_probabilities(init64(1), images)
+        probs = _forward(init64(1), images, ARCH)[2]
         assert probs.shape == (32, 10)
         assert probs.min() > 0.0
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
