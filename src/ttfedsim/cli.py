@@ -104,6 +104,8 @@ def summary_dict(cfg: ScenarioConfig, metrics: RunMetrics) -> dict:
         "num_tiers": metrics.num_tiers,
         "delta_t_s": metrics.delta_t,
         "round_time_s": metrics.round_time,
+        "events": last.round if last else None,
+        "final_time_s": last.time_s if last else None,
         "final_accuracy": last.accuracy if last else None,
         "peak_accuracy": metrics.peak_accuracy if last else None,
         "final_loss": last.loss if last else None,

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .learner import MODEL_DTYPE
 from .streams import substream
 
 NUM_CLASSES = 10
@@ -28,6 +29,8 @@ NUM_CLASSES = 10
 _SYNTH_DIM = 784
 _SYNTH_NOISE = 0.6
 _SYNTH_MIX_MAX = 0.5
+# rows built per pass, so the float64 scratch stays small at any dataset size
+_SYNTH_BLOCK = 256
 
 _IMAGES_MAGIC = 0x00000803
 _LABELS_MAGIC = 0x00000801
@@ -41,11 +44,11 @@ class IdxFormatError(ValueError):
 class LabeledDataset:
     """Flat feature vectors in [0,1] with integer class labels."""
 
-    images: np.ndarray  # (count, dim) float64
+    images: np.ndarray  # (count, dim) MODEL_DTYPE, the dtype the learner reads
     labels: np.ndarray  # (count,) int64
 
     def __post_init__(self) -> None:
-        self.images = np.ascontiguousarray(self.images, dtype=np.float64)
+        self.images = np.ascontiguousarray(self.images, dtype=MODEL_DTYPE)
         self.labels = np.ascontiguousarray(self.labels, dtype=np.int64)
         if self.images.ndim != 2 or self.labels.ndim != 1:
             raise ValueError("images must be (count, dim), labels (count,)")
@@ -100,6 +103,8 @@ def load_idx(images_path: str, labels_path: str) -> LabeledDataset:
 
     Images: magic 0x00000803, dims (count, rows, cols), unsigned bytes
     row-major. Labels: magic 0x00000801, dims (count,), one byte each.
+    Each byte maps to its float64 quotient by 255 rounded once to
+    MODEL_DTYPE, through a 256-entry table.
     """
     raw_images = _read_idx(images_path, _IMAGES_MAGIC, 3)
     raw_labels = _read_idx(labels_path, _LABELS_MAGIC, 1)
@@ -110,7 +115,8 @@ def load_idx(images_path: str, labels_path: str) -> LabeledDataset:
         )
     n = len(raw_labels)
     pixels = int(np.prod(raw_images.shape[1:])) if raw_images.ndim > 1 else 0
-    images = raw_images.reshape(n, pixels).astype(np.float64) / 255.0
+    scale = (np.arange(256) / 255.0).astype(MODEL_DTYPE)
+    images = scale[raw_images.reshape(n, pixels)]
     return LabeledDataset(images=images, labels=raw_labels.astype(np.int64))
 
 
@@ -136,7 +142,8 @@ def synthetic_digits(
     uniform in [0, 0.5]) and adds Gaussian noise of scale 0.6, clipped
     back to [0,1]. The blending caps attainable accuracy below 1.0 so
     learning curves keep an MNIST-like plateau instead of saturating.
-    Labels cycle 0..9 so any prefix stays balanced.
+    Labels cycle 0..9 so any prefix stays balanced. Each value is
+    computed in float64 and rounded once to MODEL_DTYPE.
     """
     rng = substream(seed, 101)
     protos = rng.random((NUM_CLASSES, _SYNTH_DIM))
@@ -146,17 +153,26 @@ def synthetic_digits(
         labels = np.arange(n, dtype=np.int64) % NUM_CLASSES
         confusers = rng.integers(0, NUM_CLASSES, size=n)
         lam = rng.uniform(0.0, _SYNTH_MIX_MAX, size=n)[:, None]
+        images = np.empty((n, _SYNTH_DIM), dtype=MODEL_DTYPE)
         # (1 - lam) * protos[labels] + lam * protos[confusers] + _SYNTH_NOISE * N(0, 1),
-        # built in place in two arrays of the dataset's size
-        images = protos[labels]
-        images *= 1.0 - lam
-        other = protos[confusers]
-        other *= lam
-        images += other
-        rng.standard_normal(out=other)
-        other *= _SYNTH_NOISE
-        images += other
-        np.clip(images, 0.0, 1.0, out=images)
+        # built block by block in two float64 scratch arrays; the normals
+        # continue one stream, so the blocks draw what one full-size call would
+        scratch = np.empty((2, min(n, _SYNTH_BLOCK), _SYNTH_DIM))
+        for start in range(0, n, _SYNTH_BLOCK):
+            rows = slice(start, min(start + _SYNTH_BLOCK, n))
+            mix = lam[rows]
+            part, other = scratch[:, : len(mix)]
+            # labels are in range; the default mode="raise" would buffer `out`
+            np.take(protos, labels[rows], axis=0, out=part, mode="clip")
+            part *= 1.0 - mix
+            np.take(protos, confusers[rows], axis=0, out=other, mode="clip")
+            other *= mix
+            part += other
+            rng.standard_normal(out=other)
+            other *= _SYNTH_NOISE
+            part += other
+            np.clip(part, 0.0, 1.0, out=part)
+            images[rows] = part
         return LabeledDataset(images=images, labels=labels)
 
     return make(train_per_class), make(test_per_class)

@@ -42,7 +42,7 @@ from .datagen import (
     synthetic_digits,
     training_subset,
 )
-from .learner import MODEL_DTYPE, MlpArch, evaluate, init_params, local_update
+from .learner import MlpArch, evaluate, init_params, local_update
 from .streams import (
     TAG_CHANNEL,
     TAG_CPU,
@@ -231,8 +231,8 @@ def _load_datasets(cfg: ScenarioConfig) -> tuple[LabeledDataset, LabeledDataset]
 def setup_scenario(cfg: ScenarioConfig) -> Scenario:
     """Materialize users, shards, channel and tier structure for a config.
 
-    Shards and the test set hold the images as MODEL_DTYPE, the dtype the
-    learner trains and scores in; the datasets themselves stay float64.
+    The datasets hold their images as MODEL_DTYPE, the dtype the learner
+    trains and scores in, so each shard gathers its rows without a cast.
     """
     cfg.validate()
     train, test = _load_datasets(cfg)
@@ -272,10 +272,10 @@ def setup_scenario(cfg: ScenarioConfig) -> Scenario:
         params=params,
         arch=arch,
         distances=distances,
-        shard_images=[train.images[s.indices].astype(MODEL_DTYPE) for s in shards],
+        shard_images=[train.images[s.indices] for s in shards],
         shard_labels=[train.labels[s.indices] for s in shards],
         data_sizes=data_sizes,
-        test_images=test.images.astype(MODEL_DTYPE),
+        test_images=test.images,
         test_labels=test.labels,
         tau_cp=tau_cp,
         nominal_cycle=nominal_cycle,

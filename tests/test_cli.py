@@ -113,6 +113,15 @@ class TestCsvAndSummary:
         assert set(s["target_crossings"]) == {"0.5", "0.6", "0.7", "0.8"}
         json.dumps(s)  # must be serializable as-is
 
+    @pytest.mark.parametrize("algorithm", ["ttfed", "fedasync"])
+    def test_summary_counts_the_events(self, algorithm):
+        cfg = build_config(parse_config_text(TOY_CFG + f"sim.algorithm = {algorithm}\n"))
+        sc = setup_scenario(cfg)
+        trace = []
+        s = summary_dict(cfg, run(cfg, scenario=sc, trace=trace))
+        assert s["events"] == len(trace) > 0
+        assert 0.0 < s["final_time_s"] <= sc.budget_s
+
 
 class TestAtomicWrite:
     def test_creates_directories(self, tmp_path):

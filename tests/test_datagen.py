@@ -3,6 +3,7 @@
 import math
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,6 +54,16 @@ class TestIdxLoading:
         assert ds.images[0, 5] == pytest.approx(5.0 / 255.0)
         assert ds.images.min() >= 0.0 and ds.images.max() <= 1.0
         assert list(ds.labels) == [0, 1, 2, 3, 4, 5, 6]
+
+    def test_every_byte_is_its_quotient_rounded_once(self, tmp_path):
+        img = tmp_path / "images.idx"
+        lab = tmp_path / "labels.idx"
+        write_idx_images(str(img), 256, rows=1, cols=1)
+        write_idx_labels(str(lab), [i % 10 for i in range(256)])
+        ds = load_idx(str(img), str(lab))
+        expected = (np.arange(256, dtype=np.float64) / 255.0).astype(np.float32)
+        assert ds.images.dtype == np.float32
+        assert ds.images.ravel().tobytes() == expected.tobytes()
 
     def test_empty_pair(self, tmp_path):
         img = tmp_path / "images.idx"
@@ -146,10 +157,13 @@ class TestSyntheticDigits:
             assert (hist == k).all()
 
     @pytest.mark.parametrize(
-        ("train_per_class", "test_per_class", "seed"), [(3, 2, 0), (7, 5, 12)]
+        ("train_per_class", "test_per_class", "seed"),
+        # 600 rows span more than two blocks of 256 and end in a partial one
+        [(3, 2, 0), (7, 5, 12), (60, 5, 3)],
     )
     def test_matches_the_one_line_definition(self, train_per_class, test_per_class, seed):
-        """The in-place build gives the bytes of the plain expression, same stream order."""
+        """The block build gives the float64 expression rounded once to
+        float32, drawing the stream in the same order."""
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(101,)))
         protos = rng.random((10, 784))
         expected = []
@@ -162,7 +176,17 @@ class TestSyntheticDigits:
             expected.append(np.clip(base + 0.6 * rng.standard_normal((n, 784)), 0.0, 1.0))
         got = synthetic_digits(train_per_class, test_per_class, seed)
         for dataset, images in zip(got, expected):
-            assert dataset.images.tobytes() == images.tobytes()
+            assert dataset.images.tobytes() == images.astype(np.float32).tobytes()
+
+    def test_peak_memory_is_the_output_and_a_little_scratch(self):
+        tracemalloc.start()
+        try:
+            train, test = synthetic_digits(1000, 200, seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        output = train.images.nbytes + test.images.nbytes
+        assert peak <= output + 8 * 2**20
 
     def test_seeds_differ(self):
         a, _ = synthetic_digits(5, 1, seed=1)

@@ -1,6 +1,7 @@
 """Training-loop orchestration: tiering, cadences, counters, determinism."""
 
 import math
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -183,11 +184,23 @@ class TestModelDtype:
     def test_images_are_the_dataset_rounded_once(self):
         sc = setup_scenario(BASE)
         train, test = synthetic_digits(BASE.train_per_class, BASE.test_per_class, BASE.data_seed)
-        assert train.images.dtype == test.images.dtype == np.float64
-        assert sc.test_images.tobytes() == test.images.astype(np.float32).tobytes()
-        rows = train.images.astype(np.float32)
+        assert train.images.dtype == test.images.dtype == np.float32
+        assert sc.test_images.tobytes() == test.images.tobytes()
         for images in sc.shard_images:
-            assert all((rows == row).all(axis=1).any() for row in images)
+            assert all((train.images == row).all(axis=1).any() for row in images)
+
+    def test_setup_peak_memory_of_many_users(self):
+        cfg = toy_config(
+            users=1000, train_per_class=1000, test_per_class=200, zipf_eta=1.0, dirichlet_theta=0.5
+        )
+        tracemalloc.start()
+        try:
+            sc = setup_scenario(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(images.nbytes for images in sc.shard_images) + sc.test_images.nbytes
+        assert peak <= 2 * kept + 8 * 2**20
 
     @pytest.mark.parametrize("name", ["ttfed", "fedavg", "fedasync", "fedat"])
     def test_every_model_and_the_gradient_scratch(self, name, monkeypatch):
