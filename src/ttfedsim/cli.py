@@ -102,6 +102,8 @@ def summary_dict(cfg: ScenarioConfig, metrics: RunMetrics) -> dict:
         "seed": cfg.seed,
         "config_hash": cfg.content_hash(),
         "num_tiers": metrics.num_tiers,
+        "tier_populations": metrics.tier_populations,
+        "empty_events": metrics.empty_events,
         "delta_t_s": metrics.delta_t,
         "round_time_s": metrics.round_time,
         "events": last.round if last else None,

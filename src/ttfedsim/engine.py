@@ -13,6 +13,10 @@ keeps the model it dispatched to a cohort only while that cohort has
 another event within the budget. Schedule timing uses nominal link
 delays (mean fading, equal bandwidth shares) so cadences are
 deterministic; realized fading only decides whether an upload survives.
+Every run starts from the scenario's initial model with every user at
+dispatch 0, so the scenario holds what follows from that model alone:
+the model, its test score and each user's first SGD step. Runs that
+share a scenario reuse them, and get the bytes a fresh scenario gives.
 All randomness comes from per-purpose sub-streams of the master seed, so
 trajectories are reproducible bit-for-bit regardless of execution order.
 """
@@ -22,6 +26,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Callable, Iterator
 
 import numpy as np
@@ -42,7 +47,7 @@ from .datagen import (
     synthetic_digits,
     training_subset,
 )
-from .learner import MlpArch, evaluate, init_params, local_update
+from .learner import FirstSteps, MlpArch, evaluate, init_params, local_update
 from .streams import (
     TAG_CHANNEL,
     TAG_CPU,
@@ -85,6 +90,8 @@ class RunMetrics:
     failed_total: int = 0
     zero_weight_uploads: int = 0
     substituted_samples: int = 0
+    tier_populations: list[int] = field(default_factory=list)  # users in tiers 1..M
+    empty_events: int = 0  # events whose cohort had no user
 
     def record(self, time_s: float, round_idx: int, accuracy: float, loss: float) -> None:
         self.evals.append(
@@ -140,7 +147,15 @@ def count_comm(metrics: RunMetrics, targets: tuple[float, ...]) -> dict[float, d
 
 @dataclass
 class Scenario:
-    """Everything the event loop needs, fully materialized."""
+    """Everything the event loop needs, fully materialized.
+
+    Every run starts from `initial_model` with every user at dispatch 0,
+    so what depends on that model alone is derived here once and shared
+    by every run on the scenario: the model itself, its test score and
+    each user's first SGD step (`first_steps`, filled by the first run
+    that trains the user). A scenario made by `dataclasses.replace`
+    derives them afresh, and they are freed with the scenario.
+    """
 
     config: ScenarioConfig
     params: ChannelParams
@@ -156,6 +171,26 @@ class Scenario:
     delta_t: float  # seconds per global round
     tier_of: np.ndarray  # per user tier, 1..M; uploads at rounds k with k % m == 0
     substituted_samples: int
+
+    # Derived by the first run that needs them, once setup's temporaries
+    # are freed, so that setup neither pays for them nor holds their pages.
+    @cached_property
+    def initial_model(self) -> np.ndarray:
+        """The model every run starts from; read-only."""
+        w = init_params(derive_seed(self.config.seed, TAG_INIT), self.arch)
+        w.flags.writeable = False
+        return w
+
+    @cached_property
+    def initial_score(self) -> tuple[float, float]:
+        """(accuracy, loss) of the initial model on the test set."""
+        return evaluate(self.initial_model, self.test_images, self.test_labels, self.arch)
+
+    @cached_property
+    def first_steps(self) -> FirstSteps:
+        """Slot u holds user u's first SGD step from the initial model."""
+        batch = self.config.batch_size
+        return FirstSteps([min(len(labels), batch) for labels in self.shard_labels], self.arch)
 
     @property
     def num_tiers(self) -> int:
@@ -298,12 +333,17 @@ def _train_user(
     """User u's local model trained from w_src; `work` is local_update's gradient scratch.
 
     The shuffling stream is built only when the shard is larger than a
-    batch, the only case in which local_update reads it.
+    batch, the only case in which local_update reads it. An update from
+    the scenario's initial model at dispatch 0 has the same first batch
+    in every run, so its first step uses the scenario's slot for u.
     """
     labels = sc.shard_labels[u]
     shuffled = sc.config.batch_size < len(labels)
     rng = substream(sc.config.seed, TAG_TRAIN, u, dispatch_idx) if shuffled else None
-    return local_update(w_src, sc.shard_images[u], labels, sc.config, rng, sc.arch, work=work)
+    first = (sc.first_steps, u) if dispatch_idx == 0 and w_src is sc.initial_model else None
+    return local_update(
+        w_src, sc.shard_images[u], labels, sc.config, rng, sc.arch, work=work, first_step=first
+    )
 
 
 def _fading(sc: Scenario, u: int, event_idx: int) -> float:
@@ -530,15 +570,16 @@ def run(
         if differ:
             raise ValueError(f"scenario was built from a different config: {', '.join(differ)}")
 
-    w = init_params(derive_seed(cfg.seed, TAG_INIT), sc.arch)
+    w = sc.initial_model
     rule = rule_type(sc, w)
     metrics = RunMetrics(cfg.algorithm, sc.num_tiers, sc.delta_t, sc.round_time)
     metrics.substituted_samples = sc.substituted_samples
+    metrics.tier_populations = [len(users) for users in rule.tier_users.values()]
     budget = sc.budget_s
     stride = _eval_stride(
         sum(math.floor(budget / period + _TIME_EPS) for period in rule.periods.values()), cfg
     )
-    scored = (None, None)  # the last model evaluated and its (accuracy, loss)
+    scored = (w, sc.initial_score)  # the last model evaluated and its (accuracy, loss)
 
     def record(t: float, round_idx: int, model: np.ndarray) -> None:
         nonlocal scored
@@ -560,6 +601,8 @@ def run(
     for t, key, index, again in _clock(rule.periods, budget, rule.synchronous):
         events += 1
         users = rule.cohort(key, index)
+        if not users:
+            metrics.empty_events += 1
         fading = {u: _fading(sc, u, index) for u in users}
         survivors = []
         for u, bandwidth in rule.uploaders(index, users, fading).items():

@@ -12,13 +12,17 @@ same way.
 
 Nothing here writes to a caller's model, images or labels. The only
 arrays written in place are ones made here (each result, and the
-activations of a pass) and the gradient scratch vector that a caller of
-`local_update` may lend as `work`.
+activations of a pass) and the storage a caller of `local_update` may
+lend: the gradient scratch vector `work`, and `first_step`, a slot of
+`FirstSteps`, where updates that start from the same model on the same
+first batch keep all of that step's gradient work but the first-layer
+weight product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -110,6 +114,46 @@ def _mean_cross_entropy(shifted: np.ndarray, sums: np.ndarray, labels: np.ndarra
     return -float(picked.mean())
 
 
+def _backprop(layers, images: np.ndarray, labels: np.ndarray, grads):
+    """Every part of the batch's gradient but the first-layer weights'.
+
+    Writes the mean cross-entropy gradient of b1, W2 and b2 into those
+    `grads` views and returns (d_hidden, shifted logits, softmax row
+    sums), d_hidden being the gradient at the hidden pre-activations, one
+    row per batch row. Only `grads` and arrays made here are written; the
+    caller ignores overflow, as for `_forward`.
+    """
+    n = len(labels)
+    _, _, w2, _ = layers
+    _, gb1, g2, gb2 = grads
+    hidden, shifted, d_logits, sums = _pass(layers, images)
+    d_logits[np.arange(n), labels] -= 1.0
+    d_logits /= n
+    _product(n)(hidden.T, d_logits, out=g2)
+    d_logits.sum(axis=0, out=gb2)
+    d_hidden = d_logits @ w2.T
+    d_hidden *= hidden
+    np.subtract(1.0, hidden, out=hidden)
+    d_hidden *= hidden
+    d_hidden.sum(axis=0, out=gb1)
+    return d_hidden, shifted, sums
+
+
+def _product(rows: int):
+    """The product for a transposed batch-sized operand.
+
+    For a one-row batch, matmul sends the (dim, 1) transposed view, whose
+    size-1 axis has a row-sized stride, through its slow non-BLAS loop;
+    np.dot does not, and a product without a sum is exact either way.
+    """
+    return np.dot if rows == 1 else np.matmul
+
+
+def _first_layer(images: np.ndarray, d_hidden: np.ndarray, g1: np.ndarray) -> None:
+    """Write the first-layer weight gradient images.T @ d_hidden into g1."""
+    _product(len(d_hidden))(images.T, d_hidden, out=g1)
+
+
 def _gradient(
     layers, images: np.ndarray, labels: np.ndarray, grads
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -117,28 +161,46 @@ def _gradient(
 
     `layers` and `grads` are `_views` of the model and of the gradient
     vector. Returns the forward pass's shifted logits and softmax row
-    sums, from which the loss follows. Only `grads` and arrays made here
-    are written; the caller ignores overflow, as for `_forward`.
+    sums, from which the loss follows.
     """
-    n = len(labels)
-    _, _, w2, _ = layers
-    g1, gb1, g2, gb2 = grads
-    hidden, shifted, d_logits, sums = _pass(layers, images)
-    d_logits[np.arange(n), labels] -= 1.0
-    d_logits /= n
-    # For a one-row batch, matmul sends the (dim, 1) transposed view, whose
-    # size-1 axis has a row-sized stride, through its slow non-BLAS loop;
-    # np.dot does not, and a product without a sum is exact either way.
-    product = np.dot if n == 1 else np.matmul
-    product(hidden.T, d_logits, out=g2)
-    d_logits.sum(axis=0, out=gb2)
-    d_hidden = d_logits @ w2.T
-    d_hidden *= hidden
-    np.subtract(1.0, hidden, out=hidden)
-    d_hidden *= hidden
-    product(images.T, d_hidden, out=g1)
-    d_hidden.sum(axis=0, out=gb1)
+    d_hidden, shifted, sums = _backprop(layers, images, labels, grads)
+    _first_layer(images, d_hidden, grads[0])
     return shifted, sums
+
+
+class FirstSteps:
+    """Lent storage for the first SGD step of many updates, one slot each.
+
+    Slot k holds what update k's first step computes before its
+    first-layer weight gradient: d_hidden (one row per row of the first
+    batch, `rows[k]` rows) and the gradient of b1, W2 and b2, which sit
+    after W1 in the flat layout. The first step to use a slot fills it;
+    later ones read it and compute only images.T @ d_hidden, the same
+    product from the same operands, so their bits are the same.
+
+    A slot is only correct for MODEL_DTYPE updates that share a start
+    model, shard and first batch; the owner of the storage keeps it to
+    those. Both arrays are allocated once, uninitialized, for all slots.
+    """
+
+    def __init__(self, rows: list[int], arch: MlpArch) -> None:
+        self._bounds = list(accumulate(rows, initial=0))
+        self._split = arch.in_dim * arch.hidden
+        self.d_hidden = np.empty((self._bounds[-1], arch.hidden), MODEL_DTYPE)
+        self.rest = np.empty((len(rows), arch.param_count - self._split), MODEL_DTYPE)
+        self.filled = [False] * len(rows)
+
+    def gradient(self, k: int, layers, images, labels, g: np.ndarray, grads) -> None:
+        """`_gradient` of slot k's first batch into g, whose views are `grads`."""
+        d_hidden = self.d_hidden[self._bounds[k] : self._bounds[k + 1]]
+        rest = g[self._split :]
+        if self.filled[k]:
+            np.copyto(rest, self.rest[k])
+        else:
+            d_hidden[...] = _backprop(layers, images, labels, grads)[0]
+            self.rest[k] = rest
+            self.filled[k] = True
+        _first_layer(images, d_hidden, grads[0])
 
 
 def loss_and_gradient(
@@ -162,6 +224,7 @@ def local_update(
     arch: MlpArch = MlpArch(),
     *,
     work: np.ndarray | None = None,
+    first_step: tuple[FirstSteps, int] | None = None,
 ) -> np.ndarray:
     """cfg.local_epochs passes of mini-batch SGD starting from w_in.
 
@@ -180,6 +243,10 @@ def local_update(
     time, so that no step allocates a parameter-sized array. Its contents
     on return are undefined. Without it one is allocated per call. The
     result is always a fresh array, never `work` or `w_in`.
+
+    `first_step`, a (FirstSteps, slot) pair, is lent storage for the
+    first step's gradient, which it fills or replays (see FirstSteps);
+    the result is the same with or without it.
     """
     n = len(labels)
     if n == 0:
@@ -198,7 +265,12 @@ def local_update(
                 slices = (order[start : start + size] for start in range(0, n, size))
                 batches = ((images[idx], labels[idx]) for idx in slices)
             for batch_images, batch_labels in batches:
-                _gradient(src_layers, batch_images, batch_labels, grads)
+                if first_step is None:
+                    _gradient(src_layers, batch_images, batch_labels, grads)
+                else:
+                    store, slot = first_step
+                    store.gradient(slot, src_layers, batch_images, batch_labels, g, grads)
+                    first_step = None
                 np.multiply(g, cfg.learning_rate, out=g)
                 np.subtract(src, g, out=w)
                 src, src_layers = w, layers

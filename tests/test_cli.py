@@ -113,6 +113,33 @@ class TestCsvAndSummary:
         assert set(s["target_crossings"]) == {"0.5", "0.6", "0.7", "0.8"}
         json.dumps(s)  # must be serializable as-is
 
+    def test_summary_shows_tier_populations_and_empty_events(self, tmp_path):
+        """compare.cfg at seed 1 puts every user in tier 2 of 2.
+
+        TT-Fed's odd rounds are then due for tier 1 alone and have an empty
+        cohort; FedAT runs populated tiers only. The CSVs keep their columns.
+        """
+        out = tmp_path / "compare"
+        argv = ["sweep", "--config", os.path.join(CONFIGS, "compare.cfg")]
+        argv += ["--axis", "sim.algorithm=ttfed,fedat", "--seeds", "1"]
+        assert main(argv + ["--override", "sim.rounds=40", "--out-dir", str(out)]) == 0
+        summaries = {}
+        for entry in json.loads((out / "manifest.json").read_text())["runs"]:
+            with open(entry["summary_json"]) as fh:
+                summaries[entry["axis_value"]] = json.load(fh)
+            with open(entry["metrics_csv"]) as fh:
+                assert next(csv.reader(fh)) == CSV_HEADER
+        assert summaries["ttfed"]["tier_populations"] == [0, 20]
+        assert summaries["ttfed"]["empty_events"] == 20
+        assert summaries["ttfed"]["events"] == 40
+        assert summaries["fedat"]["tier_populations"] == [0, 20]
+        assert summaries["fedat"]["empty_events"] == 0
+        header = (out / "comparison.csv").read_text().splitlines()[0]
+        assert header == (
+            "axis_value,seed,algorithm,final_accuracy,final_loss,uplink_msgs,"
+            "downlink_broadcasts,downlink_unicasts,num_tiers,delta_t_s,peak_accuracy"
+        )
+
     @pytest.mark.parametrize("algorithm", ["ttfed", "fedasync"])
     def test_summary_counts_the_events(self, algorithm):
         cfg = build_config(parse_config_text(TOY_CFG + f"sim.algorithm = {algorithm}\n"))

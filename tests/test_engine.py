@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttfedsim import allocator, engine, wireless
+from ttfedsim import allocator, engine, learner, wireless
 from ttfedsim.aggregation import (
     fedasync_aggregate,
     fedat_aggregate,
@@ -406,6 +406,18 @@ class TestFedatLoop:
             [p.time_s for p in mt.evals], [p.time_s for p in ma.evals], rtol=1e-12
         )
 
+    def test_one_populated_tier_of_two_is_fedavg(self):
+        cfg = toy_config(delta_t_frac=0.6)
+        sc = setup_scenario(cfg)
+        traces: dict[str, list[np.ndarray]] = {}
+        for name in ("fedat", "fedavg"):
+            traces[name] = []
+            metrics = run(replace(cfg, algorithm=name), scenario=sc, trace=traces[name])
+            assert metrics.tier_populations == [0, 4]
+        assert len(traces["fedat"]) == len(traces["fedavg"]) > 0
+        for wt, wa in zip(traces["fedat"], traces["fedavg"]):
+            assert wt.tobytes() == wa.tobytes()
+
     def test_unicasts_follow_tier_size(self):
         cfg = toy_config(algorithm="fedat", delta_t_frac=1.0, rounds=3)
         metrics = run(cfg)
@@ -506,6 +518,110 @@ class TestRunDispatch:
         metrics = run(cfg)
         assert len(made) >= 7 and len(worst) == metrics.evals[-1].round
         assert max(worst) <= 2
+
+
+ALGORITHMS = ("ttfed", "fedavg", "fedasync", "fedat")
+
+# six users over three populated tiers, some links failing
+SHARED = toy_config(
+    users=6,
+    radius_m=900.0,
+    snr_threshold_db=10.0,
+    zipf_eta=1.0,
+    cpu_freq_max_hz=5e9,
+    delta_t_frac=0.4,
+    rounds=6,
+)
+
+
+class TestSharedScenario:
+    """Runs on one scenario reuse its initial model, score and first steps."""
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"batch_size": 128}, {"batch_size": 8}, {"batch_size": 8, "local_epochs": 2}],
+        ids=["full-batch", "shuffled", "shuffled-2-epochs"],
+    )
+    def test_a_served_scenario_runs_like_a_fresh_one(self, algorithm, overrides):
+        cfg = with_updates(SHARED, algorithm=algorithm, **overrides)
+        fresh_trace: list[np.ndarray] = []
+        fresh = run(cfg, scenario=setup_scenario(cfg), trace=fresh_trace)
+        others = [name for name in ALGORITHMS if name != algorithm]
+        for order in (others, others[::-1]):
+            sc = setup_scenario(cfg)
+            for name in order:
+                run(replace(cfg, algorithm=name), scenario=sc)
+            assert any(sc.first_steps.filled)
+            trace: list[np.ndarray] = []
+            served = run(cfg, scenario=sc, trace=trace)
+            assert served == fresh  # every EvalPoint and counter
+            assert [w.tobytes() for w in trace] == [w.tobytes() for w in fresh_trace]
+
+    def test_first_step_forward_runs_once_per_user(self, monkeypatch):
+        sc = setup_scenario(SHARED)
+        forward, first_steps = [], []
+        pass_, train_user = learner._pass, engine._train_user
+
+        def counted_pass(layers, images):
+            if np.may_share_memory(layers[0], sc.initial_model):
+                forward.append(len(images))
+            return pass_(layers, images)
+
+        def counted_train_user(sc_, u, w_src, dispatch_idx, work=None):
+            if dispatch_idx == 0:
+                first_steps.append(u)
+            return train_user(sc_, u, w_src, dispatch_idx, work=work)
+
+        monkeypatch.setattr(learner, "_pass", counted_pass)
+        monkeypatch.setattr(engine, "_train_user", counted_train_user)
+        for name in ALGORITHMS:
+            run(replace(SHARED, algorithm=name), scenario=sc)
+        assert len(first_steps) > len(set(first_steps)) == SHARED.users
+        # one pass per user's first step, and one that scores the initial model
+        assert len(forward) == SHARED.users + 1
+
+    def test_initial_model_is_scored_once(self, monkeypatch):
+        scored = []
+        evaluate_ = engine.evaluate
+
+        def counted(w, *args):
+            scored.append(w)
+            return evaluate_(w, *args)
+
+        monkeypatch.setattr(engine, "evaluate", counted)
+        sc = setup_scenario(SHARED)
+        results = [run(replace(SHARED, algorithm=name), scenario=sc) for name in ALGORITHMS]
+        assert sum(w is sc.initial_model for w in scored) == 1
+        expected = evaluate_(sc.initial_model, sc.test_images, sc.test_labels, sc.arch)
+        assert {(m.evals[0].accuracy, m.evals[0].loss) for m in results} == {expected}
+
+    def test_replace_rebuilds_what_the_initial_model_decides(self):
+        sc = setup_scenario(SHARED)
+        run(SHARED, scenario=sc)
+        sc2 = replace(sc, config=with_updates(SHARED, seed=8))
+        assert not any(sc2.first_steps.filled)
+        assert sc2.initial_model.tobytes() != sc.initial_model.tobytes()
+        assert not sc.initial_model.flags.writeable
+
+    def test_first_step_store_memory_of_many_users(self):
+        cfg = toy_config(
+            users=1000, train_per_class=1000, test_per_class=200, zipf_eta=1.0, dirichlet_theta=0.5
+        )
+        sc = setup_scenario(cfg)
+        tracemalloc.start()
+        try:
+            work = np.empty_like(sc.initial_model)
+            for u in range(cfg.users):
+                _train_user(sc, u, sc.initial_model, 0, work=work)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert all(sc.first_steps.filled)
+        arch = sc.arch
+        rows = sum(min(len(labels), cfg.batch_size) for labels in sc.shard_labels)
+        store = (rows * arch.hidden + cfg.users * (arch.param_count - arch.in_dim * arch.hidden)) * 4
+        assert held <= store + 2**20
 
 
 class TestTrainingStreams:

@@ -8,6 +8,7 @@ import pytest
 from ttfedsim.config import ScenarioConfig
 from ttfedsim.learner import (
     MODEL_DTYPE,
+    FirstSteps,
     MlpArch,
     _forward,
     evaluate,
@@ -355,6 +356,42 @@ class TestLocalUpdate:
                 ScenarioConfig(),
                 np.random.default_rng(0),
             )
+
+
+class TestFirstSteps:
+    """A lent first-step slot is filled once, then replayed, with no bit moved."""
+
+    @pytest.mark.parametrize(
+        "n,batch_size,epochs",
+        [(30, 64, 1), (30, 8, 1), (30, 8, 2), (1, 8, 1), (33, 32, 3)],
+        ids=["full-batch", "shuffled", "shuffled-2-epochs", "one-row", "ragged-3-epochs"],
+    )
+    def test_filled_and_replayed_updates_match_plain_sgd(self, n, batch_size, epochs):
+        images, labels = random_batch(n, 40)
+        images = images.astype(MODEL_DTYPE)
+        w = init_params(40)
+        cfg = ScenarioConfig(learning_rate=0.05, local_epochs=epochs, batch_size=batch_size)
+        store = FirstSteps([5, min(n, batch_size), 3], ARCH)  # this update owns slot 1
+        plain = local_update(w, images, labels, cfg, np.random.default_rng(3))
+        results = []
+        for _ in range(2):  # the first call fills the slot, the second replays it
+            rng = np.random.default_rng(3)
+            results.append(local_update(w, images, labels, cfg, rng, first_step=(store, 1)))
+            assert store.filled == [False, True, False]
+        assert results[0].tobytes() == results[1].tobytes() == plain.tobytes()
+
+    def test_a_filled_slot_is_what_the_replay_reads(self):
+        images, labels = random_batch(20, 41)
+        images = images.astype(MODEL_DTYPE)
+        w = init_params(41)
+        cfg = ScenarioConfig(learning_rate=0.5, batch_size=32)
+        store = FirstSteps([20], ARCH)
+        filled = local_update(w, images, labels, cfg, None, first_step=(store, 0))
+        store.rest[0] = 0.0  # b1, W2 and b2 get no gradient; W1 still does
+        replayed = local_update(w, images, labels, cfg, None, first_step=(store, 0))
+        split = ARCH.in_dim * ARCH.hidden
+        assert replayed[:split].tobytes() == filled[:split].tobytes()
+        assert replayed[split:].tobytes() == w[split:].tobytes() != filled[split:].tobytes()
 
 
 class TestEvaluate:
