@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import tempfile
+import traceback
 from dataclasses import replace
 
 from . import __version__
@@ -198,23 +199,41 @@ def cmd_sweep(args) -> int:
     groups: dict[ScenarioConfig, list[int]] = {}
     for i, (_, cfg) in enumerate(grid):
         groups.setdefault(replace(cfg, algorithm="ttfed"), []).append(i)
-    runs: list = [None] * len(grid)
+    runs = [
+        {
+            "axis_key": axis_key,
+            "axis_value": value,
+            "seed": cfg.seed,
+            "config_hash": cfg.content_hash(),
+        }
+        for value, cfg in grid
+    ]
     rows: list = [None] * len(grid)
+
+    def fail(i: int, exc: Exception) -> None:
+        # a cell that raised is recorded with its error, and the sweep goes on
+        value, cfg = grid[i]
+        runs[i]["error"] = f"{type(exc).__name__}: {exc}"
+        print(f"{axis_key}={value} seed={cfg.seed} {cfg.algorithm}: failed", file=sys.stderr)
+        traceback.print_exception(exc, file=sys.stderr)
+
     for cells in groups.values():
-        scenario = setup_scenario(grid[cells[0]][1])
+        try:
+            scenario = setup_scenario(grid[cells[0]][1])
+        except Exception as exc:
+            for i in cells:
+                fail(i, exc)
+            continue
         for i in cells:
             value, cfg = grid[i]
-            metrics = run(cfg, scenario)
-            tag = f"{axis_key.split('.')[-1]}_{value}_seed{cfg.seed}_{cfg.algorithm}"
-            csv_path, json_path = _write_run(os.path.join(out, "runs", tag), cfg, metrics)
-            runs[i] = {
-                "axis_key": axis_key,
-                "axis_value": value,
-                "seed": cfg.seed,
-                "config_hash": cfg.content_hash(),
-                "metrics_csv": csv_path,
-                "summary_json": json_path,
-            }
+            try:
+                metrics = run(cfg, scenario)
+                tag = f"{axis_key.split('.')[-1]}_{value}_seed{cfg.seed}_{cfg.algorithm}"
+                csv_path, json_path = _write_run(os.path.join(out, "runs", tag), cfg, metrics)
+            except Exception as exc:
+                fail(i, exc)
+                continue
+            runs[i].update(metrics_csv=csv_path, summary_json=json_path)
             last = metrics.evals[-1]
             rows[i] = [
                 value,
@@ -247,7 +266,7 @@ def cmd_sweep(args) -> int:
         "delta_t_s",
         "peak_accuracy",
     ]
-    _atomic_write(comparison, _csv_text(header, rows))
+    _atomic_write(comparison, _csv_text(header, (row for row in rows if row is not None)))
     _atomic_write(
         manifest,
         json.dumps({"tool_version": __version__, "axis": args.axis, "runs": runs}, indent=2)
@@ -255,6 +274,10 @@ def cmd_sweep(args) -> int:
     )
     print(f"wrote {comparison}")
     print(f"wrote {manifest}")
+    failed = rows.count(None)
+    if failed:
+        print(f"error: {failed} of {len(grid)} cells failed; see {manifest}", file=sys.stderr)
+        return 1
     return 0
 
 

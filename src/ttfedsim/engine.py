@@ -155,17 +155,21 @@ class Scenario:
     each user's first SGD step (`first_steps`, filled by the first run
     that trains the user). A scenario made by `dataclasses.replace`
     derives them afresh, and they are freed with the scenario.
+
+    The data arrays are read-only. The training rows are held once, in
+    one array in shard order: `shard_images[u]` and `shard_labels[u]` are
+    consecutive slices of it, not copies.
     """
 
     config: ScenarioConfig
     params: ChannelParams
     arch: MlpArch
     distances: np.ndarray  # per user, meters
-    shard_images: list[np.ndarray]  # per user, MODEL_DTYPE rows
-    shard_labels: list[np.ndarray]
+    shard_images: list[np.ndarray]  # per user, MODEL_DTYPE rows; read-only views of one array
+    shard_labels: list[np.ndarray]  # per user; read-only views of one array
     data_sizes: np.ndarray  # per user, samples
-    test_images: np.ndarray  # MODEL_DTYPE
-    test_labels: np.ndarray
+    test_images: np.ndarray  # MODEL_DTYPE, read-only
+    test_labels: np.ndarray  # read-only
     tau_cp: np.ndarray  # per user, seconds
     nominal_cycle: np.ndarray  # per user t_u at equal-share bandwidth
     delta_t: float  # seconds per global round
@@ -263,11 +267,40 @@ def _load_datasets(cfg: ScenarioConfig) -> tuple[LabeledDataset, LabeledDataset]
     return synthetic_digits(cfg.train_per_class, cfg.test_per_class, cfg.data_seed)
 
 
+def _permute_rows(rows: np.ndarray, order: np.ndarray) -> None:
+    """Reorder the C-contiguous `rows` in place so that row i holds old row order[i].
+
+    Each cycle of the permutation is followed once through one row of
+    scratch, so the rows are never held twice.
+    """
+    n = len(rows)
+    if len(order) != n or not (np.bincount(order, minlength=n) == 1).all():
+        raise ValueError("order is not a permutation of the rows")
+    width = rows.strides[0]
+    buf = memoryview(rows).cast("B")  # raises unless rows is C-contiguous and not empty
+    scratch = bytearray(width)
+    src = order.tolist()
+    done = bytearray(n)
+    for start in range(n):
+        if done[start] or src[start] == start:
+            continue
+        scratch[:] = buf[start * width : (start + 1) * width]
+        i, j = start, src[start]
+        while j != start:
+            buf[i * width : (i + 1) * width] = buf[j * width : (j + 1) * width]
+            done[i] = 1
+            i, j = j, src[j]
+        buf[i * width : (i + 1) * width] = scratch
+        done[i] = 1
+
+
 def setup_scenario(cfg: ScenarioConfig) -> Scenario:
     """Materialize users, shards, channel and tier structure for a config.
 
     The datasets hold their images as MODEL_DTYPE, the dtype the learner
-    trains and scores in, so each shard gathers its rows without a cast.
+    trains and scores in. Partition splits every training row among the
+    users, so the rows are put into shard order in place and each shard
+    is a slice of them: the training images are never held twice.
     """
     cfg.validate()
     train, test = _load_datasets(cfg)
@@ -282,6 +315,12 @@ def setup_scenario(cfg: ScenarioConfig) -> Scenario:
         seed=derive_seed(cfg.seed, TAG_PARTITION),
     )
     data_sizes = np.array([s.size for s in shards], dtype=np.float64)
+    order = np.concatenate([s.indices for s in shards])
+    _permute_rows(train.images, order)
+    images, labels = train.images, train.labels[order]
+    for array in (images, labels, test.images, test.labels):
+        array.flags.writeable = False
+    bounds = np.cumsum([0] + [s.size for s in shards]).tolist()
     if cfg.cpu_freq_max_hz is not None:
         freqs = substream(cfg.seed, TAG_CPU).uniform(
             cfg.cpu_freq_hz, cfg.cpu_freq_max_hz, cfg.users
@@ -307,8 +346,8 @@ def setup_scenario(cfg: ScenarioConfig) -> Scenario:
         params=params,
         arch=arch,
         distances=distances,
-        shard_images=[train.images[s.indices] for s in shards],
-        shard_labels=[train.labels[s.indices] for s in shards],
+        shard_images=[images[a:b] for a, b in zip(bounds, bounds[1:])],
+        shard_labels=[labels[a:b] for a, b in zip(bounds, bounds[1:])],
         data_sizes=data_sizes,
         test_images=test.images,
         test_labels=test.labels,

@@ -321,6 +321,54 @@ class TestSweepCommand:
             with open(entry["summary_json"]) as fh:
                 assert json.load(fh) == json.loads((single / f"{stem}_summary.json").read_text())
 
+    @pytest.mark.parametrize("stage", ["run", "setup_scenario"])
+    def test_a_failed_cell_is_recorded_and_the_others_complete(
+        self, toy_cfg_file, tmp_path, monkeypatch, capsys, stage
+    ):
+        argv = ["sweep", "--config", toy_cfg_file, "--axis", "sim.algorithm=ttfed,fedavg"]
+        argv += ["--seeds", "1,2"]
+        clean = tmp_path / "clean"
+        assert main(argv + ["--out-dir", str(clean)]) == 0
+
+        real = getattr(cli, stage)
+
+        def flaky(cfg, *args):
+            # run fails for one cell; setup for the scenario both seed-2 cells share
+            if cfg.seed == 2 and (stage == "setup_scenario" or cfg.algorithm == "fedavg"):
+                raise RuntimeError("injected")
+            return real(cfg, *args)
+
+        monkeypatch.setattr(cli, stage, flaky)
+        capsys.readouterr()
+        out = tmp_path / "flaky"
+        assert main(argv + ["--out-dir", str(out)]) == 1
+        failed = [("fedavg", 2)] if stage == "run" else [("ttfed", 2), ("fedavg", 2)]
+        err = capsys.readouterr().err
+        assert "RuntimeError: injected" in err
+        assert f"error: {len(failed)} of 4 cells failed" in err
+
+        entries = json.loads((out / "manifest.json").read_text())["runs"]
+        cells = [(alg, seed) for alg in ("ttfed", "fedavg") for seed in (1, 2)]
+        assert [(e["axis_value"], e["seed"]) for e in entries] == cells
+        for entry, cell in zip(entries, cells):
+            if cell in failed:
+                assert entry["error"] == "RuntimeError: injected"
+                assert "metrics_csv" not in entry and "summary_json" not in entry
+            else:
+                assert "error" not in entry
+                with open(entry["metrics_csv"]) as fh:
+                    assert fh.read() == (clean / os.path.relpath(fh.name, out)).read_text()
+        assert sorted(os.listdir(out / "runs")) == sorted(
+            name
+            for name in os.listdir(clean / "runs")
+            if not any(f"seed{seed}_{alg}_" in name for alg, seed in failed)
+        )
+
+        rows = (out / "comparison.csv").read_text().splitlines()
+        kept = [i for i, cell in enumerate(cells) if cell not in failed]
+        clean_rows = (clean / "comparison.csv").read_text().splitlines()
+        assert rows == [clean_rows[0]] + [clean_rows[1 + i] for i in kept]
+
     def test_compare_config_over_the_four_algorithms(self, tmp_path):
         out = tmp_path / "compare"
         argv = ["sweep", "--config", os.path.join(CONFIGS, "compare.cfg")]

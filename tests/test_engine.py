@@ -18,7 +18,7 @@ from ttfedsim.aggregation import (
     ttfed_tier_weights,
 )
 from ttfedsim.config import FADING_MODES, POLICIES, ScenarioConfig, with_updates
-from ttfedsim.datagen import synthetic_digits
+from ttfedsim.datagen import partition, synthetic_digits
 from ttfedsim.engine import (
     RunMetrics,
     _ceil_with_boundary,
@@ -30,7 +30,9 @@ from ttfedsim.engine import (
     setup_scenario,
 )
 from ttfedsim.learner import evaluate, init_params
-from ttfedsim.streams import TAG_INIT, TAG_TRAIN, derive_seed
+from ttfedsim.streams import TAG_INIT, TAG_PARTITION, TAG_TRAIN, derive_seed
+
+from test_datagen import write_idx_images, write_idx_labels
 
 # small, fast, high-success scenario shared by the loop tests
 BASE = ScenarioConfig(
@@ -217,6 +219,112 @@ class TestModelDtype:
         assert trace and {w.dtype for w in trace} == {np.dtype(np.float32)}
         assert scratch and all(work is scratch[0] for work in scratch)
         assert scratch[0].dtype == np.float32
+
+
+def _swapped(n, i, j):
+    order = list(range(n))
+    order[i], order[j] = order[j], order[i]
+    return order
+
+
+_SIZES = st.integers(1, 30)  # partition rejects an empty dataset
+_ORDERS = st.one_of(
+    _SIZES.map(lambda n: list(range(n))),  # identity
+    _SIZES.map(lambda n: [(i + 1) % n for i in range(n)]),  # one cycle through every row
+    _SIZES.flatmap(  # one swap, every other row a fixed point
+        lambda n: st.builds(_swapped, st.just(n), st.integers(0, n - 1), st.integers(0, n - 1))
+    ),
+    _SIZES.flatmap(lambda n: st.permutations(list(range(n)))),
+)
+
+# 1000 users over 10,000 rows, from one big shard to many of one row
+MANY_SKEWED = toy_config(
+    users=1000, train_per_class=1000, test_per_class=200, zipf_eta=1.0, dirichlet_theta=0.5
+)
+
+
+class TestShardLayout:
+    """Shards are read-only consecutive slices of one array of the training rows."""
+
+    @given(order=_ORDERS, width=st.integers(1, 5))
+    @settings(max_examples=200, deadline=None)
+    def test_permute_rows_is_the_gather(self, order, width):
+        order = np.array(order, dtype=np.int64)
+        orig = np.arange(len(order) * width, dtype=np.float32).reshape(len(order), width)
+        rows = orig.copy()
+        engine._permute_rows(rows, order)
+        assert rows.tobytes() == orig[order].tobytes()
+
+    @pytest.mark.parametrize("order", [[0, 0, 2], [0, 1], [0, 1, 2, 3], [2, 1, 3]])
+    def test_permute_rows_rejects_a_non_permutation(self, order):
+        orig = np.arange(6, dtype=np.float32).reshape(3, 2)
+        rows = orig.copy()
+        with pytest.raises(ValueError, match="not a permutation"):
+            engine._permute_rows(rows, np.array(order, dtype=np.int64))
+        assert rows.tobytes() == orig.tobytes()
+
+    @staticmethod
+    def assert_layout(cfg):
+        sc = setup_scenario(cfg)
+        train, _ = engine._load_datasets(cfg)
+        shards = partition(
+            train,
+            cfg.users,
+            zipf_eta=cfg.zipf_eta,
+            dirichlet_theta=cfg.dirichlet_theta,
+            seed=derive_seed(cfg.seed, TAG_PARTITION),
+        )
+        for views, source in ((sc.shard_images, train.images), (sc.shard_labels, train.labels)):
+            base = views[0].base
+            assert base.nbytes == source.nbytes == sum(v.nbytes for v in views)
+            address = base.ctypes.data
+            for view, shard in zip(views, shards, strict=True):
+                assert view.base is base
+                assert view.ctypes.data == address
+                address += view.nbytes
+                assert view.tobytes() == source[shard.indices].tobytes()
+        return sc
+
+    def test_many_skewed_users(self):
+        sc = self.assert_layout(MANY_SKEWED)
+        assert min(sc.data_sizes) == 1 and max(sc.data_sizes) > 1000
+
+    def test_idx_source(self, tmp_path):
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        write_idx_images(str(images), 60)
+        write_idx_labels(str(labels), list(range(10)) * 6)
+        cfg = toy_config(
+            users=7,
+            zipf_eta=1.0,
+            dirichlet_theta=0.5,
+            train_per_class=5,
+            data_source="idx",
+            train_images_path=str(images),
+            train_labels_path=str(labels),
+            test_images_path=str(images),
+            test_labels_path=str(labels),
+        )
+        sc = self.assert_layout(cfg)
+        assert sc.shard_images[0].shape[1] == 12 and sc.data_sizes.sum() == 50
+
+    def test_data_is_read_only(self):
+        sc = setup_scenario(BASE)
+        for array in (sc.shard_images[1], sc.shard_images[1].base, sc.test_images):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 0.5
+        for array in (sc.shard_labels[1], sc.shard_labels[1].base, sc.test_labels):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    def test_setup_holds_the_training_rows_once(self):
+        tracemalloc.start()
+        try:
+            sc = setup_scenario(MANY_SKEWED)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(images.nbytes for images in sc.shard_images) + sc.test_images.nbytes
+        assert peak <= kept + 8 * 2**20
 
 
 class TestTtfedLoop:
