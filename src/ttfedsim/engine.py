@@ -279,19 +279,19 @@ def _permute_rows(rows: np.ndarray, order: np.ndarray) -> None:
     width = rows.strides[0]
     buf = memoryview(rows).cast("B")  # raises unless rows is C-contiguous and not empty
     scratch = bytearray(width)
-    src = order.tolist()
-    done = bytearray(n)
+    src = order.tolist()  # src[i] = i once row i is in place
     for start in range(n):
-        if done[start] or src[start] == start:
+        if src[start] == start:
             continue
         scratch[:] = buf[start * width : (start + 1) * width]
-        i, j = start, src[start]
-        while j != start:
+        i = start
+        while src[i] != start:
+            j = src[i]
             buf[i * width : (i + 1) * width] = buf[j * width : (j + 1) * width]
-            done[i] = 1
-            i, j = j, src[j]
+            src[i] = i
+            i = j
         buf[i * width : (i + 1) * width] = scratch
-        done[i] = 1
+        src[i] = i
 
 
 def setup_scenario(cfg: ScenarioConfig) -> Scenario:
