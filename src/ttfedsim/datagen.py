@@ -29,8 +29,8 @@ NUM_CLASSES = 10
 _SYNTH_DIM = 784
 _SYNTH_NOISE = 0.6
 _SYNTH_MIX_MAX = 0.5
-# rows built per pass, so the float64 scratch stays small at any dataset size
-_SYNTH_BLOCK = 256
+# rows built per pass: the float64 scratch stays in a core's L2 cache
+_SYNTH_BLOCK = 64
 
 _IMAGES_MAGIC = 0x00000803
 _LABELS_MAGIC = 0x00000801
@@ -143,7 +143,9 @@ def synthetic_digits(
     back to [0,1]. The blending caps attainable accuracy below 1.0 so
     learning curves keep an MNIST-like plateau instead of saturating.
     Labels cycle 0..9 so any prefix stays balanced. Each value is
-    computed in float64 and rounded once to MODEL_DTYPE.
+    computed in float64 and rounded once to MODEL_DTYPE: the images are
+    built 64 rows at a time in a float64 scratch small enough to stay in
+    cache, and each block is clipped straight into the MODEL_DTYPE rows.
     """
     rng = substream(seed, 101)
     protos = rng.random((NUM_CLASSES, _SYNTH_DIM))
@@ -155,8 +157,9 @@ def synthetic_digits(
         lam = rng.uniform(0.0, _SYNTH_MIX_MAX, size=n)[:, None]
         images = np.empty((n, _SYNTH_DIM), dtype=MODEL_DTYPE)
         # (1 - lam) * protos[labels] + lam * protos[confusers] + _SYNTH_NOISE * N(0, 1),
-        # built block by block in two float64 scratch arrays; the normals
-        # continue one stream, so the blocks draw what one full-size call would
+        # built block by block in two float64 scratch arrays and clipped into
+        # the result, which rounds once; the normals continue one stream, so
+        # the blocks draw what one full-size call would
         scratch = np.empty((2, min(n, _SYNTH_BLOCK), _SYNTH_DIM))
         for start in range(0, n, _SYNTH_BLOCK):
             rows = slice(start, min(start + _SYNTH_BLOCK, n))
@@ -171,8 +174,7 @@ def synthetic_digits(
             rng.standard_normal(out=other)
             other *= _SYNTH_NOISE
             part += other
-            np.clip(part, 0.0, 1.0, out=part)
-            images[rows] = part
+            np.clip(part, 0.0, 1.0, out=images[rows], casting="same_kind")
         return LabeledDataset(images=images, labels=labels)
 
     return make(train_per_class), make(test_per_class)
@@ -209,13 +211,16 @@ def zipf_sizes(total: int, num_users: int, eta: float) -> list[int]:
 
 
 def dirichlet_class_shares(
-    theta: float, class_priors: np.ndarray, rng: np.random.Generator
+    theta: float, class_priors: np.ndarray, rng: np.random.Generator, num_users: int
 ) -> np.ndarray:
-    """One user's class-composition simplex vector.
+    """Class-composition simplex vectors of `num_users` users, one per row.
 
     Finite theta: normalized Gamma(theta*prior_n, 1) draws. theta = inf
-    returns the priors exactly; theta = 0 returns a one-hot vector on a
-    uniformly random class.
+    gives every user the priors exactly; theta = 0 a one-hot vector on a
+    uniformly random class. Rows draw from `rng` in user order, as one
+    call per user would: a user whose Gamma draws all underflow (tiny
+    theta) takes the one-hot limit on a random class with a nonzero prior
+    before the next user draws.
     """
     q = np.asarray(class_priors, dtype=np.float64)
     if q.ndim != 1 or (q < 0).any() or abs(q.sum() - 1.0) > 1e-9:
@@ -223,37 +228,51 @@ def dirichlet_class_shares(
     if theta < 0.0:
         raise ValueError(f"theta must be >= 0, got {theta}")
     if math.isinf(theta):
-        return q.copy()
+        return np.tile(q, (num_users, 1))
+    shares = np.zeros((num_users, len(q)))
     if theta == 0.0:
-        shares = np.zeros_like(q)
-        shares[int(rng.integers(len(q)))] = 1.0
+        shares[np.arange(num_users), rng.integers(len(q), size=num_users)] = 1.0
         return shares
-    v = rng.gamma(theta * q, 1.0)
-    v[q == 0.0] = 0.0
-    s = v.sum()
-    if s == 0.0:  # all draws underflowed (tiny theta); same limit as theta -> 0
-        shares = np.zeros_like(q)
-        candidates = np.flatnonzero(q > 0)
-        shares[int(rng.choice(candidates))] = 1.0
-        return shares
-    return v / s
+    start, block = 0, num_users
+    while start < num_users:
+        state = rng.bit_generator.state
+        v = rng.gamma(theta * q, 1.0, size=(min(block, num_users - start), len(q)))
+        v[:, q == 0.0] = 0.0
+        s = v.sum(axis=1)
+        dead = np.flatnonzero(s == 0.0)
+        stop = len(v) if len(dead) == 0 else int(dead[0])
+        shares[start : start + stop] = v[:stop] / s[:stop, None]
+        if len(dead) == 0:
+            start, block = start + stop, 2 * block
+            continue
+        if stop + 1 < len(v):
+            # the block drew rows past the dead one too early: redraw up to it
+            rng.bit_generator.state = state
+            rng.gamma(theta * q, 1.0, size=(stop + 1, len(q)))
+        # the dead user's class comes before the next user's draws, as one
+        # call per user had it; the next block guesses the same spacing
+        shares[start + stop, rng.choice(np.flatnonzero(q > 0))] = 1.0
+        start, block = start + stop + 1, stop + 1
+    return shares
 
 
-def _class_quotas(size: int, shares: np.ndarray, offset: int = 0) -> np.ndarray:
-    """Largest-remainder split of `size` samples across classes.
+def _class_quotas(sizes: np.ndarray, shares: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Largest-remainder split of each user's size across classes, one row per user.
 
-    Remainder ties are broken by class id rotated by `offset`; without the
-    rotation a run of identical draws (the uniform limit) would round up
-    the same classes for every user and exhaust their pools. Spacing the
-    offsets evenly across callers keeps the aggregate demand per class
-    within one sample of the pool in the balanced case.
+    Remainder ties are broken by class id rotated by the user's offset;
+    without the rotation a run of identical draws (the uniform limit) would
+    round up the same classes for every user and exhaust their pools.
+    Spacing the offsets evenly across users keeps the aggregate demand per
+    class within one sample of the pool in the balanced case.
     """
-    n = len(shares)
-    raw = size * shares
+    n = shares.shape[1]
+    raw = sizes[:, None] * shares
     quotas = np.floor(raw).astype(np.int64)
-    remainder = size - int(quotas.sum())
-    order = np.lexsort(((np.arange(n) - offset) % n, -(raw - quotas)))
-    quotas[order[:remainder]] += 1
+    remainder = sizes - quotas.sum(axis=1)
+    rotated = (np.arange(n) - offsets[:, None]) % n
+    order = np.lexsort((rotated, -(raw - quotas)), axis=-1)
+    # the first `remainder` classes of each row's order get one more sample
+    quotas[np.arange(len(sizes))[:, None], order] += np.arange(n) < remainder[:, None]
     return quotas
 
 
@@ -266,49 +285,56 @@ def partition(
 ) -> list[UserShard]:
     """Split the whole dataset into per-user shards under both skew models.
 
-    Sizes follow `zipf_sizes(count, num_users, zipf_eta)` and each user's
+    Sizes follow `zipf_sizes(count, num_users, zipf_eta)` and the users'
     classes `dirichlet_class_shares(dirichlet_theta, ...)` (inf = uniform
     limit, 0 = one-class limit); those two check the arguments.
 
-    Deterministic given the dataset and the arguments. When a user's quota
-    asks for more of a class than remains in the pool, the deficit spills
-    to the globally most-abundant remaining class; the substitution count
-    is kept on the shard (`UserShard.substituted`) and a run reports the
-    total as `substituted_samples`.
+    Deterministic given the dataset and the arguments. Users take their
+    class quotas in user order, each from the front of what remains of
+    that class. When a user's quota asks for more of a class than
+    remains, the deficit spills to the globally most-abundant remaining
+    class; the substitution count is kept on the shard
+    (`UserShard.substituted`) and a run reports the total as
+    `substituted_samples`. Only that bookkeeping runs user by user: the
+    shares, the quotas and the indices are computed for all users at
+    once, and each shard's indices come out in ascending order.
     """
     if dataset.count == 0:
         raise ValueError("cannot partition an empty dataset")
     rng = substream(seed, 11)
-    sizes = zipf_sizes(dataset.count, num_users, zipf_eta)
-    priors = dataset.class_priors()
+    sizes = np.array(zipf_sizes(dataset.count, num_users, zipf_eta), dtype=np.int64)
+    shares = dirichlet_class_shares(dirichlet_theta, dataset.class_priors(), rng, num_users)
+    offsets = np.arange(num_users) * NUM_CLASSES // num_users
+    takes = _class_quotas(sizes, shares, offsets).tolist()
 
-    pools = [list(np.flatnonzero(dataset.labels == c)) for c in range(NUM_CLASSES)]
-    cursor = [0] * NUM_CLASSES  # consumed prefix of each pool
-
-    def remaining(c: int) -> int:
-        return len(pools[c]) - cursor[c]
-
-    def take(c: int, n: int, out: list[int]) -> None:
-        out.extend(pools[c][cursor[c] : cursor[c] + n])
-        cursor[c] += n
-
-    shards: list[UserShard] = []
-    for uid, size in enumerate(sizes):
-        shares = dirichlet_class_shares(dirichlet_theta, priors, rng)
-        quotas = _class_quotas(size, shares, offset=uid * NUM_CLASSES // num_users)
-        chosen: list[int] = []
+    pools = [np.flatnonzero(dataset.labels == c) for c in range(NUM_CLASSES)]
+    remaining = [len(pool) for pool in pools]
+    substituted = []
+    for take in takes:  # turn each quota row into what the user takes
         deficit = 0
-        for c in range(NUM_CLASSES):
-            got = min(int(quotas[c]), remaining(c))
-            take(c, got, chosen)
-            deficit += int(quotas[c]) - got
-        substituted = deficit
+        for c, want in enumerate(take):
+            if want > remaining[c]:
+                deficit += want - remaining[c]
+                take[c] = remaining[c]
+            remaining[c] -= take[c]
+        substituted.append(deficit)
         while deficit > 0:
             # most-abundant remaining class; ties to the lowest class id
-            avail = [remaining(c) for c in range(NUM_CLASSES)]
-            c = int(np.argmax(avail))
-            got = min(deficit, avail[c])
-            take(c, got, chosen)
+            c = remaining.index(max(remaining))
+            got = min(deficit, remaining[c])
+            take[c] += got
+            remaining[c] -= got
             deficit -= got
-        shards.append(UserShard(np.array(sorted(chosen), dtype=np.int64), substituted))
-    return shards
+
+    # every row is taken: each class's pool goes to the users in user order,
+    # so a stable sort of the rows by owner lists each shard's rows ascending
+    owner = np.empty(dataset.count, dtype=np.int64)
+    per_class = np.array(takes, dtype=np.int64).T
+    for pool, counts in zip(pools, per_class):
+        owner[pool] = np.repeat(np.arange(num_users), counts)
+    rows = np.argsort(owner, kind="stable")
+    bounds = np.cumsum(sizes).tolist()
+    return [
+        UserShard(rows[b - n : b], count)
+        for b, n, count in zip(bounds, sizes.tolist(), substituted)
+    ]

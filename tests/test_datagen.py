@@ -1,18 +1,22 @@
 """Dataset ingestion, synthetic stand-in, and the two-skew partitioner."""
 
+import hashlib
 import math
 import os
 import struct
 import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ttfedsim.config import ScenarioConfig
 from ttfedsim.datagen import (
     IdxFormatError,
     LabeledDataset,
+    UserShard,
     dirichlet_class_shares,
     load_idx,
     partition,
@@ -20,6 +24,8 @@ from ttfedsim.datagen import (
     training_subset,
     zipf_sizes,
 )
+from ttfedsim.engine import setup_scenario
+from ttfedsim.streams import substream
 
 MNIST_DIR = os.environ.get("MNIST_DIR", "")
 
@@ -158,7 +164,7 @@ class TestSyntheticDigits:
 
     @pytest.mark.parametrize(
         ("train_per_class", "test_per_class", "seed"),
-        # 600 rows span more than two blocks of 256 and end in a partial one
+        # 600 rows span nine full blocks of 64 and end in a partial one
         [(3, 2, 0), (7, 5, 12), (60, 5, 3)],
     )
     def test_matches_the_one_line_definition(self, train_per_class, test_per_class, seed):
@@ -186,7 +192,8 @@ class TestSyntheticDigits:
         finally:
             tracemalloc.stop()
         output = train.images.nbytes + test.images.nbytes
-        assert peak <= output + 8 * 2**20
+        # the float64 scratch of two 64-row blocks is 0.77 MiB
+        assert peak <= output + 2 * 2**20
 
     def test_seeds_differ(self):
         a, _ = synthetic_digits(5, 1, seed=1)
@@ -236,46 +243,48 @@ class TestDirichletShares:
     def test_uniform_limit_is_exact(self):
         priors = np.full(10, 0.1)
         rng = np.random.default_rng(0)
-        shares = dirichlet_class_shares(math.inf, priors, rng)
-        assert np.array_equal(shares, priors)
+        shares = dirichlet_class_shares(math.inf, priors, rng, 3)
+        assert shares.shape == (3, 10)
+        assert all(np.array_equal(row, priors) for row in shares)
 
     def test_one_class_limit(self):
         priors = np.full(10, 0.1)
         rng = np.random.default_rng(0)
-        shares = dirichlet_class_shares(0.0, priors, rng)
-        assert shares.sum() == 1.0
-        assert (shares == 1.0).sum() == 1
+        shares = dirichlet_class_shares(0.0, priors, rng, 5)
+        assert (shares.sum(axis=1) == 1.0).all()
+        assert ((shares == 1.0).sum(axis=1) == 1).all()
         assert ((shares == 0.0) | (shares == 1.0)).all()
 
     def test_underflow_falls_back_to_one_class(self):
         priors = np.full(10, 0.1)
         rng = np.random.default_rng(0)
-        shares = dirichlet_class_shares(1e-300, priors, rng)
-        assert (shares == 1.0).sum() == 1
+        shares = dirichlet_class_shares(1e-300, priors, rng, 4)
+        assert ((shares == 1.0).sum(axis=1) == 1).all()
+        assert ((shares == 0.0) | (shares == 1.0)).all()
 
     def test_zero_prior_class_gets_nothing(self):
         priors = np.array([0.0, 0.5, 0.5, 0, 0, 0, 0, 0, 0, 0], dtype=float)
         rng = np.random.default_rng(0)
-        for _ in range(20):
-            shares = dirichlet_class_shares(0.5, priors, rng)
-            assert shares[0] == 0.0
-            assert shares[3:].sum() == 0.0
+        for theta in (0.5, 1e-300):
+            shares = dirichlet_class_shares(theta, priors, rng, 20)
+            assert (shares[:, 0] == 0.0).all()
+            assert (shares[:, 3:] == 0.0).all()
 
     def test_invalid_priors(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            dirichlet_class_shares(1.0, np.full(10, 0.2), rng)
+            dirichlet_class_shares(1.0, np.full(10, 0.2), rng, 1)
         with pytest.raises(ValueError):
-            dirichlet_class_shares(-1.0, np.full(10, 0.1), rng)
+            dirichlet_class_shares(-1.0, np.full(10, 0.1), rng, 1)
 
     @given(theta=st.floats(min_value=1e-3, max_value=1e3))
     @settings(max_examples=100, deadline=None)
     def test_simplex_output(self, theta):
         priors = np.full(10, 0.1)
         rng = np.random.default_rng(17)
-        shares = dirichlet_class_shares(theta, priors, rng)
+        shares = dirichlet_class_shares(theta, priors, rng, 5)
         assert shares.min() >= 0.0
-        assert shares.sum() == pytest.approx(1.0, abs=1e-12)
+        assert shares.sum(axis=1) == pytest.approx(np.ones(5), abs=1e-12)
 
 
 class TestPartition:
@@ -390,3 +399,161 @@ class TestDatasetTypes:
             partition(train, num_users=1, zipf_eta=-1.0)
         with pytest.raises(ValueError, match="theta"):
             partition(train, num_users=1, dirichlet_theta=-0.1)
+
+
+def _reference_partition(dataset, num_users, zipf_eta, dirichlet_theta, seed):
+    """The partitioner one user at a time, as it was written before it was
+    vectorized: each user draws its shares, rounds its quotas and fills them
+    from the pools before the next user draws."""
+    rng = substream(seed, 11)
+    sizes = zipf_sizes(dataset.count, num_users, zipf_eta)
+    q = dataset.class_priors()
+    pools = [list(np.flatnonzero(dataset.labels == c)) for c in range(10)]
+    cursor = [0] * 10
+
+    def remaining(c):
+        return len(pools[c]) - cursor[c]
+
+    def take(c, n, out):
+        out.extend(pools[c][cursor[c] : cursor[c] + n])
+        cursor[c] += n
+
+    shards = []
+    for uid, size in enumerate(sizes):
+        if math.isinf(dirichlet_theta):
+            shares = q.copy()
+        elif dirichlet_theta == 0.0:
+            shares = np.zeros_like(q)
+            shares[int(rng.integers(len(q)))] = 1.0
+        else:
+            v = rng.gamma(dirichlet_theta * q, 1.0)
+            v[q == 0.0] = 0.0
+            if v.sum() == 0.0:
+                shares = np.zeros_like(q)
+                shares[int(rng.choice(np.flatnonzero(q > 0)))] = 1.0
+            else:
+                shares = v / v.sum()
+        offset = uid * 10 // num_users
+        raw = size * shares
+        quotas = np.floor(raw).astype(np.int64)
+        remainder = size - int(quotas.sum())
+        order = np.lexsort(((np.arange(10) - offset) % 10, -(raw - quotas)))
+        quotas[order[:remainder]] += 1
+        chosen = []
+        deficit = 0
+        for c in range(10):
+            got = min(int(quotas[c]), remaining(c))
+            take(c, got, chosen)
+            deficit += int(quotas[c]) - got
+        substituted = deficit
+        while deficit > 0:
+            avail = [remaining(c) for c in range(10)]
+            c = int(np.argmax(avail))
+            got = min(deficit, avail[c])
+            take(c, got, chosen)
+            deficit -= got
+        shards.append(UserShard(np.array(sorted(chosen), dtype=np.int64), substituted))
+    return shards
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def _shards_digest(shards):
+    return _digest(
+        np.concatenate([s.indices for s in shards]),
+        np.array([s.size for s in shards], dtype=np.int64),
+        np.array([s.substituted for s in shards], dtype=np.int64),
+    )
+
+
+@lru_cache(maxsize=1)
+def _benchmark_scale_digits():
+    return synthetic_digits(1000, 200, seed=4)
+
+
+class TestGoldenAtBenchmarkScale:
+    """Fixed digests of the data a 1000-user scenario is built from, taken
+    before the partitioner was vectorized and the digit blocks resized."""
+
+    def test_synthetic_digits(self):
+        train, test = _benchmark_scale_digits()
+        assert _digest(train.images, train.labels) == (
+            "e4148bc28cc4dbc4c2070a39f17b928ce31371ba3fa719392409bae9c180a825"
+        )
+        assert _digest(test.images, test.labels) == (
+            "518c618755173d97b9c2925d965b4e1182052f7ba1dbd0aee7901d38c18d5ef3"
+        )
+
+    @pytest.mark.parametrize(
+        ("eta", "theta", "substituted", "digest"),
+        [
+            (1.0, 0.5, 1607, "20f67b62124d02b415a7ec23659d9d9dfc4910ce2032fdc015c8a6a73ec02455"),
+            (0.0, 0.0, 420, "360f706222555834c9c1063081c2088d3fea62ec0f03dad902907dd1f1f247a9"),
+            (0.0, math.inf, 0, "8a0f43f9e2efcc066cecfb227484f39acaa6ee8b21eccd02f576e0e24ef5ea0b"),
+        ],
+        ids=["zipf-dirichlet", "one-class", "uniform"],
+    )
+    def test_partition(self, eta, theta, substituted, digest):
+        train, _ = _benchmark_scale_digits()
+        shards = partition(train, 1000, zipf_eta=eta, dirichlet_theta=theta, seed=7)
+        assert sum(s.substituted for s in shards) == substituted
+        assert _shards_digest(shards) == digest
+
+    def test_tiers_of_the_skewed_many_user_scenario(self):
+        cfg = ScenarioConfig(
+            seed=1000,
+            data_seed=13345,
+            users=1000,
+            delta_t_frac=0.2,
+            rounds=6,
+            max_evals=20,
+            policy="equal_bandwidth",
+            scheduling_fading="realization",
+            cpu_freq_max_hz=5e9,
+            train_per_class=1000,
+            zipf_eta=1.0,
+            dirichlet_theta=0.5,
+        )
+        sc = setup_scenario(cfg)
+        assert _digest(np.asarray(sc.tier_of, dtype=np.int64)) == (
+            "585d9b0095e4f2dd2fc1b4ebd061b021234edffee47df3aaa2a318d63d000409"
+        )
+        assert _digest(*sc.shard_images) == (
+            "1960b1656a77c3085dc04ed0b0283d51228cac3e822c69f78a1a1b525ee67282"
+        )
+
+
+class TestPartitionOracle:
+    @given(
+        users=st.integers(min_value=1, max_value=300),
+        extra=st.integers(min_value=0, max_value=200),
+        classes=st.integers(min_value=1, max_value=10),
+        eta=st.floats(min_value=0.0, max_value=3.0),
+        theta=st.one_of(
+            st.sampled_from([0.0, math.inf, 1e-300]),
+            st.floats(min_value=0.01, max_value=100.0),
+        ),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    # theta = 1e-3 on two classes: about half the users' draws all underflow,
+    # interleaved with users whose draws do not
+    @example(users=50, extra=0, classes=2, eta=0.0, theta=1e-3, seed=0)
+    @settings(max_examples=120, deadline=None)
+    def test_equals_the_per_user_reference(self, users, extra, classes, eta, theta, seed):
+        """Same indices and substitution counts as the one-user-at-a-time
+        partitioner, including zero-prior classes and users whose Gamma
+        draws all underflow (theta = 1e-300)."""
+        n = users + extra
+        labels = np.arange(n, dtype=np.int64) % classes
+        dataset = LabeledDataset(images=np.zeros((n, 1)), labels=labels)
+        got = partition(dataset, users, zipf_eta=eta, dirichlet_theta=theta, seed=seed)
+        want = _reference_partition(dataset, users, eta, theta, seed)
+        assert [s.substituted for s in got] == [s.substituted for s in want]
+        for a, b in zip(got, want, strict=True):
+            assert a.indices.dtype == np.int64
+            assert np.array_equal(a.indices, b.indices)
