@@ -167,15 +167,3 @@ def equal_share_plan(
             plan.total_allocated = share * n
             return plan
     return RoundPlan()
-
-
-def objective_value(plan: RoundPlan, qualified: list[QualifiedUser], params: ChannelParams) -> float:
-    """Expected successfully-merged data mass under the plan's bandwidths."""
-    by_id = {q.user_id: q for q in qualified}
-    total = 0.0
-    for uid in plan.selected:
-        q = by_id[uid]
-        total += contribution_weight(
-            q.alpha, q.data_size, plan.bandwidth[uid], q.distance, params
-        )
-    return total

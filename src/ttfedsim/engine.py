@@ -13,6 +13,11 @@ keeps the model it dispatched to a cohort only while that cohort has
 another event within the budget. Schedule timing uses nominal link
 delays (mean fading, equal bandwidth shares) so cadences are
 deterministic; realized fading only decides whether an upload survives.
+Neither cohorts nor fading depend on a model, so before its first event
+a run lists every event's cohort and draws all their fading in one
+batch (`wireless.draw_fading`). Each value keeps its key and its bits:
+the first draw of its own (seed, TAG_CHANNEL, user, event index) stream,
+as `tests/test_streams.py` checks against numpy.
 Every run starts from the scenario's initial model with every user at
 dispatch 0, so the scenario holds what follows from that model alone:
 the model, its test score and each user's first SGD step. Runs that
@@ -49,7 +54,6 @@ from .datagen import (
 )
 from .learner import FirstSteps, MlpArch, evaluate, init_params, local_update
 from .streams import (
-    TAG_CHANNEL,
     TAG_CPU,
     TAG_INIT,
     TAG_PARTITION,
@@ -388,8 +392,19 @@ def _train_user(
     )
 
 
-def _fading(sc: Scenario, u: int, event_idx: int) -> float:
-    return wireless.draw_fading(substream(sc.config.seed, TAG_CHANNEL, u, event_idx))
+def _event_counts(periods: dict, budget: float, grid: bool) -> dict:
+    """Each cohort's number of events within the budget, on `_clock`'s arithmetic."""
+    if grid:
+        ((key, period),) = periods.items()
+        return {key: int(math.floor(budget / period + _TIME_EPS))}
+    counts = {}
+    for key, period in periods.items():
+        count, t = 0, period
+        while t <= budget + _TIME_EPS:
+            count += 1
+            t += period
+        counts[key] = count
+    return counts
 
 
 def _clock(
@@ -401,22 +416,23 @@ def _clock(
     k * period. Otherwise each cohort fires every `periods[key]` seconds
     on an accumulated clock, and simultaneous events go in key order.
     The last flag is False at a cohort's last event within the budget.
+    A cohort's events are numbered from 1 to its `_event_counts` entry.
     """
+    counts = _event_counts(periods, budget, grid)
     if grid:
         ((key, period),) = periods.items()
-        last = int(math.floor(budget / period + _TIME_EPS))
+        last = counts[key]
         for k in range(1, last + 1):
             yield k * period, key, k, k < last
         return
-    heap = [(period, key, 1) for key, period in periods.items() if period <= budget + _TIME_EPS]
+    heap = [(period, key, 1) for key, period in periods.items() if counts[key]]
     heapq.heapify(heap)
     while heap:
         t, key, index = heapq.heappop(heap)
-        following = t + periods[key]
-        again = following <= budget + _TIME_EPS
+        again = index < counts[key]
         yield t, key, index, again
         if again:
-            heapq.heappush(heap, (following, key, index + 1))
+            heapq.heappush(heap, (t + periods[key], key, index + 1))
 
 
 class _Rule:
@@ -439,7 +455,7 @@ class _Rule:
         self.tier_users = {m: np.flatnonzero(sc.tier_of == m).tolist() for m in tiers}
 
     def cohort(self, key, index: int) -> list[int]:
-        """Users whose cycle ends at this event."""
+        """Users whose cycle ends at this event; a pure function of (key, index)."""
         return self.members[key]
 
     def uploaders(
@@ -475,16 +491,19 @@ class _TtFed(_Rule):
         self.periods = {None: sc.delta_t}
 
     def cohort(self, key, k: int) -> list[int]:
-        """Users of the tiers due at round k; also fixes the round's tier weights."""
+        """Users of the tiers due at round k."""
+        return [u for m, users in self.tier_users.items() if k % m == 0 for u in users]
+
+    def weights(self, k: int) -> np.ndarray:
+        """Round k's tier weights."""
         num_tiers = len(self.tier_users)
         if self.sc.config.policy == "equal_weight":
-            self.weights = np.full(num_tiers, 1.0 / num_tiers)
-        else:
-            self.weights = ttfed_tier_weights(k, num_tiers)
-        return [u for m, users in self.tier_users.items() if k % m == 0 for u in users]
+            return np.full(num_tiers, 1.0 / num_tiers)
+        return ttfed_tier_weights(k, num_tiers)
 
     def uploaders(self, k: int, users: list[int], fading: dict[int, float]) -> dict[int, float]:
         sc, params = self.sc, self.sc.params
+        weights = self.weights(k)
         qualified = []
         for u in users:
             m = int(sc.tier_of[u])
@@ -494,7 +513,7 @@ class _TtFed(_Rule):
             q = allocator.qualify(
                 user_id=u,
                 data_size=float(sc.data_sizes[u]),
-                alpha=float(self.weights[m - 1]),
+                alpha=float(weights[m - 1]),
                 slack=m * sc.delta_t - float(sc.tau_cp[u]),
                 gain_power=gain,
                 distance=float(sc.distances[u]),
@@ -514,17 +533,18 @@ class _TtFed(_Rule):
         A tier that is not due, or that had no survivor, contributes the
         current global model under its weight.
         """
+        weights = self.weights(k)
         by_tier: dict[int, list[int]] = {}
         for u in survivors:
             by_tier.setdefault(int(self.sc.tier_of[u]), []).append(u)
         for m, users in by_tier.items():
-            if self.weights[m - 1] == 0.0:
+            if weights[m - 1] == 0.0:
                 self.zero_weight_uploads += len(users)
         tier_models = [
             fedavg_aggregate(map(upload, by_tier[m])) if m in by_tier else w
             for m in self.tier_users
         ]
-        return fedat_aggregate(tier_models, self.weights)
+        return fedat_aggregate(tier_models, weights)
 
 
 class _FedAvg(_Rule):
@@ -639,13 +659,26 @@ def run(
     def upload(u: int) -> Upload:
         return float(sc.data_sizes[u]), _train_user(sc, u, *sent[u], work=work)
 
+    # Every event's cohort and fading, drawn in one pass before the first
+    # event: neither depends on a model, only on the clock and the rule.
+    cohorts = {}  # (cohort key, event index) -> (users, offset of their draws)
+    draw_users: list[int] = []
+    draw_events: list[int] = []
+    for key, count in _event_counts(rule.periods, budget, rule.synchronous).items():
+        for index in range(1, count + 1):
+            users = rule.cohort(key, index)
+            cohorts[key, index] = (users, len(draw_users))
+            draw_users += users
+            draw_events += [index] * len(users)
+    fadings = wireless.draw_fading(cfg.seed, draw_users, draw_events).tolist()
+
     events = 0
     for t, key, index, again in _clock(rule.periods, budget, rule.synchronous):
         events += 1
-        users = rule.cohort(key, index)
+        users, offset = cohorts.pop((key, index))
         if not users:
             metrics.empty_events += 1
-        fading = {u: _fading(sc, u, index) for u in users}
+        fading = dict(zip(users, fadings[offset : offset + len(users)]))
         survivors = []
         for u, bandwidth in rule.uploaders(index, users, fading).items():
             metrics.uplink_msgs += 1

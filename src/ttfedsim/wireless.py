@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .streams import TAG_CHANNEL, exponentials
+
 
 @dataclass(frozen=True)
 class ChannelParams:
@@ -88,9 +90,14 @@ def stp(bandwidth: float, distance: float, params: ChannelParams) -> float:
     return float(np.exp(-fading_threshold(bandwidth, distance, params)))
 
 
-def draw_fading(rng: np.random.Generator) -> float:
-    """One unit-mean exponential power-fading realization."""
-    return float(rng.exponential(1.0))
+def draw_fading(master_seed: int, users, events) -> np.ndarray:
+    """Unit-mean exponential power fading of each upload (users[i] at events[i]).
+
+    Upload i's fading is the first draw of its own stream
+    (master_seed, TAG_CHANNEL, user, event index), so it does not depend
+    on which other uploads are drawn with it.
+    """
+    return exponentials(master_seed, TAG_CHANNEL, users, events)
 
 
 def success_given_fading(

@@ -16,7 +16,6 @@ from ttfedsim.allocator import (
     contribution_weight,
     equal_share_plan,
     lambda_coeff,
-    objective_value,
     optimal_bandwidth,
     qualify,
     select_users,
@@ -25,6 +24,20 @@ from ttfedsim.numerics import bisect_root
 
 GAIN = 3.02e-8  # path-loss figure used by the worked examples
 SLACK = 0.5
+
+
+def objective_value(
+    plan: RoundPlan, qualified: list[QualifiedUser], params: wireless.ChannelParams
+) -> float:
+    """Expected successfully-merged data mass under the plan's bandwidths."""
+    by_id = {q.user_id: q for q in qualified}
+    total = 0.0
+    for uid in plan.selected:
+        q = by_id[uid]
+        total += contribution_weight(
+            q.alpha, q.data_size, plan.bandwidth[uid], q.distance, params
+        )
+    return total
 
 
 def required_rate_root(lam: float, model_bits: float, slack: float) -> float:

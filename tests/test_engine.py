@@ -758,6 +758,70 @@ class TestTrainingStreams:
         assert len(set(built)) == len(built)
 
 
+class TestFadingTable:
+    """A run draws every event's fading in one batch before its first event."""
+
+    @pytest.mark.parametrize("name", ["ttfed", "fedavg", "fedasync", "fedat"])
+    def test_one_batch_of_the_cohorts_channel_streams(self, name, monkeypatch):
+        batches = []
+        draw_fading = wireless.draw_fading
+
+        def recorded(seed, users, events):
+            batches.append((seed, list(users), list(events)))
+            return draw_fading(seed, users, events)
+
+        monkeypatch.setattr(wireless, "draw_fading", recorded)
+        cfg = toy_config(algorithm=name, users=6, zipf_eta=1.0, cpu_freq_max_hz=5e9, rounds=4)
+        trace = []
+        metrics = run(cfg, trace=trace)
+        ((seed, users, events),) = batches
+        assert seed == cfg.seed and len(set(zip(users, events))) == len(users)
+        if name == "fedavg":
+            assert sorted(zip(events, users)) == [
+                (k, u) for k in range(1, len(trace) + 1) for u in range(cfg.users)
+            ]
+        if name in ("fedavg", "fedasync", "fedat"):  # every cohort member uploads
+            assert len(users) == metrics.uplink_msgs
+
+    def test_pinned_ttfed_fading(self, monkeypatch):
+        drawn = []
+        draw_fading = wireless.draw_fading
+
+        def recorded(seed, users, events):
+            values = draw_fading(seed, users, events)
+            drawn.extend(zip(users, events, values.tolist()))
+            return values
+
+        monkeypatch.setattr(wireless, "draw_fading", recorded)
+        run(toy_config(algorithm="ttfed"))
+        assert drawn[:4] == [
+            (0, 2, 0.9013930625327227),
+            (1, 2, 0.681599772469059),
+            (2, 2, 1.3627846775238606),
+            (3, 2, 0.35550348281651917),
+        ]
+
+    @given(
+        periods=st.lists(st.floats(0.05, 3.0), min_size=1, max_size=6),
+        budget=st.floats(0.0, 12.0),
+        grid=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_event_counts_number_the_clocks_events(self, periods, budget, grid):
+        by_key = dict(enumerate(periods[:1] if grid else periods))
+        counts = engine._event_counts(by_key, budget, grid)
+        seen = {key: [] for key in by_key}
+        last = dict.fromkeys(by_key, 0.0)
+        for t, key, index, again in engine._clock(by_key, budget, grid):
+            seen[key].append((index, again))
+            last[key] = t
+        for key, count in counts.items():
+            assert seen[key] == [(i, i < count) for i in range(1, count + 1)]
+            if not grid:  # the accumulated clock's last event is the last that fits
+                assert last[key] <= budget + engine._TIME_EPS
+                assert last[key] + by_key[key] > budget + engine._TIME_EPS
+
+
 class TestCountComm:
     def test_targets_and_absences(self):
         metrics = RunMetrics("ttfed", 1, 0.5, 0.5)

@@ -151,15 +151,13 @@ class TestSuccessProbability:
         assert not success_given_fading(thr * 0.999, 1e6, 300.0, radio)
 
     def test_draw_frequency_matches_probability(self, radio):
-        # 1e5 draws per point, asserted within 3 standard errors
+        # 1e5 draws per point (n users at one event), asserted within 3 standard errors
         points = [(1e6, 100.0), (6e6, 450.0)]
         n = 100_000
         for i, (b, d) in enumerate(points):
             p = stp(b, d, radio)
-            rng = np.random.default_rng(500 + i)
-            hits = sum(
-                success_given_fading(draw_fading(rng), b, d, radio) for _ in range(n)
-            )
+            fading = draw_fading(500 + i, np.arange(n), 1).tolist()
+            hits = sum(success_given_fading(f, b, d, radio) for f in fading)
             se = math.sqrt(max(p * (1.0 - p), 1e-12) / n)
             assert abs(hits / n - p) <= 3.0 * se + 1e-9
 
@@ -172,16 +170,12 @@ class TestSuccessProbability:
             total_bandwidth=radio.total_bandwidth,
             model_bits=radio.model_bits,
         )
-        rng = np.random.default_rng(3)
-        assert not any(
-            success_given_fading(draw_fading(rng), 1e6, 100.0, hostile) for _ in range(200)
-        )
+        fading = draw_fading(3, 0, np.arange(200)).tolist()
+        assert not any(success_given_fading(f, 1e6, 100.0, hostile) for f in fading)
 
     def test_zero_bandwidth_draw_always_succeeds(self, radio):
-        rng = np.random.default_rng(4)
-        assert all(
-            success_given_fading(draw_fading(rng), 0.0, 600.0, radio) for _ in range(200)
-        )
+        fading = draw_fading(4, 0, np.arange(200)).tolist()
+        assert all(success_given_fading(f, 0.0, 600.0, radio) for f in fading)
 
 
 class TestComputeDelay:
