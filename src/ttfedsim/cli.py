@@ -209,6 +209,13 @@ def cmd_sweep(args) -> int:
         for value, cfg in grid
     ]
     rows: list = [None] * len(grid)
+    manifest = os.path.join(out, "manifest.json")
+
+    def write_manifest() -> None:
+        # rewritten after every cell, so a killed sweep leaves the cells it
+        # finished on record; a cell not yet run has neither paths nor error
+        text = json.dumps({"tool_version": __version__, "axis": args.axis, "runs": runs}, indent=2)
+        _atomic_write(manifest, text + "\n")
 
     def fail(i: int, exc: Exception) -> None:
         # a cell that raised is recorded with its error, and the sweep goes on
@@ -216,6 +223,7 @@ def cmd_sweep(args) -> int:
         runs[i]["error"] = f"{type(exc).__name__}: {exc}"
         print(f"{axis_key}={value} seed={cfg.seed} {cfg.algorithm}: failed", file=sys.stderr)
         traceback.print_exception(exc, file=sys.stderr)
+        write_manifest()
 
     for cells in groups.values():
         try:
@@ -234,6 +242,7 @@ def cmd_sweep(args) -> int:
                 fail(i, exc)
                 continue
             runs[i].update(metrics_csv=csv_path, summary_json=json_path)
+            write_manifest()
             last = metrics.evals[-1]
             rows[i] = [
                 value,
@@ -252,7 +261,6 @@ def cmd_sweep(args) -> int:
         del scenario  # freed before the next group's is built
 
     comparison = os.path.join(out, "comparison.csv")
-    manifest = os.path.join(out, "manifest.json")
     header = [
         "axis_value",
         "seed",
@@ -267,11 +275,6 @@ def cmd_sweep(args) -> int:
         "peak_accuracy",
     ]
     _atomic_write(comparison, _csv_text(header, (row for row in rows if row is not None)))
-    _atomic_write(
-        manifest,
-        json.dumps({"tool_version": __version__, "axis": args.axis, "runs": runs}, indent=2)
-        + "\n",
-    )
     print(f"wrote {comparison}")
     print(f"wrote {manifest}")
     failed = rows.count(None)

@@ -8,11 +8,12 @@ The algorithms differ only in their rule: when events happen (a fixed
 grid for ttfed and fedavg, a queue of per-user or per-tier cadences for
 fedasync and fedat), who is in the cohort, who may upload with what
 bandwidth, and how uploads merge. A rule trains each upload as it folds
-it in, so no more than one local model is held at a time, and the run
-keeps the model it dispatched to a cohort only while that cohort has
-another event within the budget. Schedule timing uses nominal link
-delays (mean fading, equal bandwidth shares) so cadences are
-deterministic; realized fading only decides whether an upload survives.
+it in, so no more than one local model is held at a time besides the
+scenario's kept first uploads, and the run keeps the model it dispatched
+to a cohort only while that cohort has another event within the budget.
+Schedule timing uses nominal link delays (mean fading, equal bandwidth
+shares) so cadences are deterministic; realized fading only decides
+whether an upload survives.
 Neither cohorts nor fading depend on a model, so before its first event
 a run lists every event's cohort and draws all their fading in one
 batch (`wireless.draw_fading`). Each value keeps its key and its bits:
@@ -20,8 +21,11 @@ the first draw of its own (seed, TAG_CHANNEL, user, event index) stream,
 as `tests/test_streams.py` checks against numpy.
 Every run starts from the scenario's initial model with every user at
 dispatch 0, so the scenario holds what follows from that model alone:
-the model, its test score and each user's first SGD step. Runs that
-share a scenario reuse them, and get the bytes a fresh scenario gives.
+the model, its test score, and each user's first upload. That upload is
+kept finished when it takes more than one SGD step and the model is no
+larger than the user's shard; otherwise only its first SGD step is kept.
+Runs that share a scenario reuse them, and get the bytes a fresh
+scenario gives.
 All randomness comes from per-purpose sub-streams of the master seed, so
 trajectories are reproducible bit-for-bit regardless of execution order.
 """
@@ -156,9 +160,11 @@ class Scenario:
     Every run starts from `initial_model` with every user at dispatch 0,
     so what depends on that model alone is derived here once and shared
     by every run on the scenario: the model itself, its test score and
-    each user's first SGD step (`first_steps`, filled by the first run
-    that trains the user). A scenario made by `dataclasses.replace`
-    derives them afresh, and they are freed with the scenario.
+    each user's first upload, filled by the first run that trains the
+    user: finished (`first_uploads`) for the users `first_upload_kept`
+    marks, and as its first SGD step (`first_steps`) for the others. A
+    scenario made by `dataclasses.replace` derives all of these afresh,
+    and they are freed with the scenario.
 
     The data arrays are read-only. The training rows are held once, in
     one array in shard order: `shard_images[u]` and `shard_labels[u]` are
@@ -195,10 +201,42 @@ class Scenario:
         return evaluate(self.initial_model, self.test_images, self.test_labels, self.arch)
 
     @cached_property
+    def first_upload_kept(self) -> list[bool]:
+        """Per user, whether `first_uploads` keeps its first upload.
+
+        It is kept when the update takes more than one SGD step (a shard
+        larger than a batch, or more than one epoch) and the model is no
+        larger than the user's shard (param_count <= rows * in_dim), so
+        the store never holds more bytes than the training images do.
+        """
+        cfg, arch = self.config, self.arch
+        return [
+            (len(labels) > cfg.batch_size or cfg.local_epochs > 1)
+            and arch.param_count <= len(labels) * arch.in_dim
+            for labels in self.shard_labels
+        ]
+
+    @cached_property
+    def first_uploads(self) -> dict[int, np.ndarray]:
+        """User u's finished, read-only first upload from the initial model.
+
+        Filled by the first run that trains u, for the users marked in
+        `first_upload_kept`.
+        """
+        return {}
+
+    @cached_property
+    def first_step_slots(self) -> dict[int, int]:
+        """Each user's slot in `first_steps`: the users whose upload is not kept."""
+        users = (u for u, kept in enumerate(self.first_upload_kept) if not kept)
+        return {u: k for k, u in enumerate(users)}
+
+    @cached_property
     def first_steps(self) -> FirstSteps:
-        """Slot u holds user u's first SGD step from the initial model."""
+        """Slot `first_step_slots[u]` holds user u's first SGD step from the initial model."""
         batch = self.config.batch_size
-        return FirstSteps([min(len(labels), batch) for labels in self.shard_labels], self.arch)
+        rows = [min(len(self.shard_labels[u]), batch) for u in self.first_step_slots]
+        return FirstSteps(rows, self.arch)
 
     @property
     def num_tiers(self) -> int:
@@ -380,16 +418,27 @@ def _train_user(
 
     The shuffling stream is built only when the shard is larger than a
     batch, the only case in which local_update reads it. An update from
-    the scenario's initial model at dispatch 0 has the same first batch
-    in every run, so its first step uses the scenario's slot for u.
+    the scenario's initial model at dispatch 0 is the same in every run.
+    If the scenario keeps it (`Scenario.first_upload_kept`), the first run
+    to train u stores the finished upload, read-only, and later runs get
+    that array back with no training and no stream. Otherwise its first
+    step uses the scenario's first-step slot for u.
     """
+    first = dispatch_idx == 0 and w_src is sc.initial_model
+    kept = first and sc.first_upload_kept[u]
+    if kept and u in sc.first_uploads:
+        return sc.first_uploads[u]
     labels = sc.shard_labels[u]
     shuffled = sc.config.batch_size < len(labels)
     rng = substream(sc.config.seed, TAG_TRAIN, u, dispatch_idx) if shuffled else None
-    first = (sc.first_steps, u) if dispatch_idx == 0 and w_src is sc.initial_model else None
-    return local_update(
-        w_src, sc.shard_images[u], labels, sc.config, rng, sc.arch, work=work, first_step=first
+    slot = (sc.first_steps, sc.first_step_slots[u]) if first and not kept else None
+    w = local_update(
+        w_src, sc.shard_images[u], labels, sc.config, rng, sc.arch, work=work, first_step=slot
     )
+    if kept:
+        w.flags.writeable = False
+        sc.first_uploads[u] = w
+    return w
 
 
 def _event_counts(periods: dict, budget: float, grid: bool) -> dict:

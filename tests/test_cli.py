@@ -369,6 +369,43 @@ class TestSweepCommand:
         clean_rows = (clean / "comparison.csv").read_text().splitlines()
         assert rows == [clean_rows[0]] + [clean_rows[1 + i] for i in kept]
 
+    def test_a_killed_sweep_leaves_its_finished_cells_on_record(
+        self, toy_cfg_file, tmp_path, monkeypatch
+    ):
+        argv = ["sweep", "--config", toy_cfg_file, "--axis", "sim.algorithm=ttfed,fedavg"]
+        argv += ["--seeds", "1,2"]
+        clean = tmp_path / "clean"
+        assert main(argv + ["--out-dir", str(clean)]) == 0
+        clean_entries = json.loads((clean / "manifest.json").read_text())["runs"]
+
+        real, started = cli.run, []
+
+        def interrupted(cfg, *args):
+            started.append((cfg.algorithm, cfg.seed))
+            if len(started) == 3:
+                raise KeyboardInterrupt
+            return real(cfg, *args)
+
+        monkeypatch.setattr(cli, "run", interrupted)
+        out = tmp_path / "killed"
+        with pytest.raises(KeyboardInterrupt):
+            main(argv + ["--out-dir", str(out)])
+        # the cells of one scenario run together: seed 1's two cells come first
+        assert started == [("ttfed", 1), ("fedavg", 1), ("ttfed", 2)]
+        assert not (out / "comparison.csv").exists()
+        entries = json.loads((out / "manifest.json").read_text())["runs"]
+        cells = [(alg, seed) for alg in ("ttfed", "fedavg") for seed in (1, 2)]
+        assert [(e["axis_value"], e["seed"]) for e in entries] == cells
+        for entry, clean_entry, cell in zip(entries, clean_entries, cells):
+            assert "error" not in entry
+            if cell in started[:2]:
+                for path in ("metrics_csv", "summary_json"):
+                    with open(entry[path]) as fh:
+                        assert fh.read() == (clean / os.path.relpath(fh.name, out)).read_text()
+            else:  # not yet run: neither paths nor error
+                assert set(entry) == {"axis_key", "axis_value", "seed", "config_hash"}
+                assert entry == {key: clean_entry[key] for key in entry}
+
     def test_compare_config_over_the_four_algorithms(self, tmp_path):
         out = tmp_path / "compare"
         argv = ["sweep", "--config", os.path.join(CONFIGS, "compare.cfg")]

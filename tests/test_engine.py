@@ -641,9 +641,14 @@ SHARED = toy_config(
     rounds=6,
 )
 
+# SHARED with a model of 6,370 parameters, which is no larger than a shard of
+# 9 rows or more, and 8-row batches: the uploads of its 41-, 20-, 14- and
+# 10-row shards are kept, and those of its 8- and 7-row shards are not
+KEEPING = with_updates(SHARED, hidden_width=8, batch_size=8)
+
 
 class TestSharedScenario:
-    """Runs on one scenario reuse its initial model, score and first steps."""
+    """Runs on one scenario reuse its initial model, score and first uploads."""
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     @pytest.mark.parametrize(
@@ -713,6 +718,8 @@ class TestSharedScenario:
         assert not sc.initial_model.flags.writeable
 
     def test_first_step_store_memory_of_many_users(self):
+        """The store holds the first-step slots of the users whose upload is not
+        kept, one parameter vector per kept user, and at most 1 MiB more."""
         cfg = toy_config(
             users=1000, train_per_class=1000, test_per_class=200, zipf_eta=1.0, dirichlet_theta=0.5
         )
@@ -725,11 +732,109 @@ class TestSharedScenario:
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert all(sc.first_steps.filled)
         arch = sc.arch
-        rows = sum(min(len(labels), cfg.batch_size) for labels in sc.shard_labels)
-        store = (rows * arch.hidden + cfg.users * (arch.param_count - arch.in_dim * arch.hidden)) * 4
+        sizes = [len(labels) for labels in sc.shard_labels]
+        # one epoch: kept are the shards larger than a batch, with as many values as the model
+        kept = [
+            u
+            for u, n in enumerate(sizes)
+            if cfg.batch_size < n and arch.param_count <= n * arch.in_dim
+        ]
+        slots = [u for u in range(cfg.users) if u not in kept]
+        rows = sum(min(sizes[u], cfg.batch_size) for u in slots)
+        rest = arch.param_count - arch.in_dim * arch.hidden
+        store = (rows * arch.hidden + len(slots) * rest + len(kept) * arch.param_count) * 4
         assert held <= store + 2**20
+        assert sorted(sc.first_uploads) == kept and 0 < len(kept) < cfg.users
+        assert all(sc.first_steps.filled)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("local_epochs", [1, 2], ids=["1-epoch", "2-epochs"])
+    def test_kept_first_uploads_serve_runs_like_a_fresh_scenario(self, algorithm, local_epochs):
+        cfg = with_updates(KEEPING, algorithm=algorithm, local_epochs=local_epochs)
+        fresh_trace: list[np.ndarray] = []
+        fresh = run(cfg, scenario=setup_scenario(cfg), trace=fresh_trace)
+        others = [name for name in ALGORITHMS if name != algorithm]
+        for order in (others, others[::-1]):
+            sc = setup_scenario(cfg)
+            assert any(sc.first_upload_kept) and not all(sc.first_upload_kept)
+            for name in order:
+                run(replace(cfg, algorithm=name), scenario=sc)
+            assert sc.first_uploads and any(sc.first_steps.filled)
+            trace: list[np.ndarray] = []
+            served = run(cfg, scenario=sc, trace=trace)
+            assert served == fresh  # every EvalPoint and counter
+            assert [w.tobytes() for w in trace] == [w.tobytes() for w in fresh_trace]
+
+    @pytest.mark.parametrize("local_epochs", [1, 2], ids=["1-epoch", "2-epochs"])
+    def test_a_kept_upload_is_trained_once(self, local_epochs, monkeypatch):
+        cfg = with_updates(KEEPING, local_epochs=local_epochs)
+        sc = setup_scenario(cfg)
+        owner = {id(labels): u for u, labels in enumerate(sc.shard_labels)}
+        updates, streams, served = [], [], []
+        local_update, substream = engine.local_update, engine.substream
+        train_user = engine._train_user
+
+        def counted_update(w_in, images, labels, *args, **kwargs):
+            if w_in is sc.initial_model:
+                updates.append(owner[id(labels)])
+            return local_update(w_in, images, labels, *args, **kwargs)
+
+        def counted_substream(seed, *key):
+            if key[0] == TAG_TRAIN and key[2] == 0:
+                streams.append(key[1])
+            return substream(seed, *key)
+
+        def counted_train_user(sc_, u, w_src, dispatch_idx, work=None):
+            if dispatch_idx == 0 and sc_.first_upload_kept[u]:
+                served.append(u)
+            return train_user(sc_, u, w_src, dispatch_idx, work=work)
+
+        monkeypatch.setattr(engine, "local_update", counted_update)
+        monkeypatch.setattr(engine, "substream", counted_substream)
+        monkeypatch.setattr(engine, "_train_user", counted_train_user)
+        for name in ALGORITHMS:
+            run(replace(cfg, algorithm=name), scenario=sc)
+        kept = sorted(sc.first_uploads)
+        assert kept and set(served) == set(kept) and len(served) > len(kept)
+        for u in kept:
+            assert updates.count(u) == 1 and streams.count(u) == 1
+        # users whose upload is not kept train from the initial model in every run
+        assert len(updates) > len(kept) + sum(not k for k in sc.first_upload_kept)
+
+    def test_a_kept_upload_is_read_only(self):
+        sc = setup_scenario(KEEPING)
+        run(KEEPING, scenario=sc)
+        for w in sc.first_uploads.values():
+            with pytest.raises(ValueError):
+                w[0] = 0.0
+
+    def test_replace_starts_with_an_empty_store(self):
+        sc = setup_scenario(KEEPING)
+        run(KEEPING, scenario=sc)
+        assert sc.first_uploads
+        sc2 = replace(sc)
+        assert sc2.first_uploads == {} and not any(sc2.first_steps.filled)
+        run(KEEPING, scenario=sc2)
+        assert sorted(sc2.first_uploads) == sorted(sc.first_uploads)
+
+    @given(
+        users=st.integers(2, 12),
+        zipf_eta=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+        batch_size=st.integers(1, 40),
+        local_epochs=st.integers(1, 3),
+        hidden_width=st.integers(1, 16),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_the_store_is_no_larger_than_its_users_shards(self, **drawn):
+        cfg = toy_config(rounds=3, **drawn)
+        sc = setup_scenario(cfg)
+        for name in ALGORITHMS:
+            run(replace(cfg, algorithm=name), scenario=sc)
+        for u in sc.first_uploads:  # each kept update takes more than one SGD step
+            assert len(sc.shard_labels[u]) > cfg.batch_size or cfg.local_epochs > 1
+        stored = sum(w.nbytes for w in sc.first_uploads.values())
+        assert stored <= sum(sc.shard_images[u].nbytes for u in sc.first_uploads)
 
 
 class TestTrainingStreams:
