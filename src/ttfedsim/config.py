@@ -115,10 +115,21 @@ class ScenarioConfig:
             if not value > 0:
                 raise ConfigError(f"{key}: must be positive, got {value}")
         for key, value in (
+            ("sim.radius_m", self.radius_m),
+            ("sim.delta_t_frac", self.delta_t_frac),
+            ("sim.delta_t_s", self.delta_t_s),
+            ("sim.time_budget_s", self.time_budget_s),
+            ("channel.path_loss_exponent", self.path_loss_exponent),
             ("channel.noise_psd_dbm_hz", self.noise_psd_dbm_hz),
+            ("channel.tx_power_w", self.tx_power_w),
             ("channel.snr_threshold_db", self.snr_threshold_db),
-        ):
-            if not math.isfinite(value):
+            ("channel.total_bandwidth_hz", self.total_bandwidth_hz),
+            ("compute.cpu_freq_hz", self.cpu_freq_hz),
+            ("compute.cpu_freq_max_hz", self.cpu_freq_max_hz),
+            ("compute.cycles_per_sample", self.cycles_per_sample),
+            ("train.learning_rate", self.learning_rate),
+        ):  # data.zipf_eta and data.dirichlet_theta take inf as their limits
+            if value is not None and not math.isfinite(value):
                 raise ConfigError(f"{key}: must be finite, got {value}")
         train_size = NUM_CLASSES * self.train_per_class
         if self.users > train_size:

@@ -5,8 +5,8 @@ finishes its local cycle, their fading is drawn, a merge rule updates the
 global model from the uploads that survive, each trained from the model
 its user was sent, and the server sends the result back to the cohort.
 The algorithms differ only in their rule: when events happen (a fixed
-grid for ttfed and fedavg, a queue of per-user or per-tier cadences for
-fedasync and fedat), who is in the cohort, who may upload with what
+grid for ttfed and fedavg, per-user or per-tier cadences for fedasync
+and fedat), who is in the cohort, who may upload with what
 bandwidth, and how uploads merge. A rule trains each upload as it folds
 it in, so no more than one local model is held at a time besides the
 scenario's kept first uploads, and the run keeps the model it dispatched
@@ -14,9 +14,12 @@ to a cohort only while that cohort has another event within the budget.
 Schedule timing uses nominal link delays (mean fading, equal bandwidth
 shares) so cadences are deterministic; realized fading only decides
 whether an upload survives.
-Neither cohorts nor fading depend on a model, so before its first event
-a run lists every event's cohort and draws all their fading in one
-batch (`wireless.draw_fading`). Each value keeps its key and its bits:
+A run lists its events once, in time order (`_schedule`): each has its
+time, cohort key, the cohort's event index and whether the cohort fires
+again, and their number sets the evaluation stride. Neither cohorts nor
+fading depend on a model, so before its first event a run lists every
+event's cohort and draws all their fading in one batch
+(`wireless.draw_fading`). Each value keeps its key and its bits:
 the first draw of its own (seed, TAG_CHANNEL, user, event index) stream,
 as `tests/test_streams.py` checks against numpy.
 Every run starts from the scenario's initial model with every user at
@@ -32,11 +35,10 @@ trajectories are reproducible bit-for-bit regardless of execution order.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -404,13 +406,6 @@ def setup_scenario(cfg: ScenarioConfig) -> Scenario:
     )
 
 
-def _eval_stride(expected_events: int, cfg: ScenarioConfig) -> int:
-    if expected_events <= 0:
-        return 1
-    thin = math.ceil(expected_events / cfg.max_evals)
-    return max(cfg.eval_every, thin, 1)
-
-
 def _train_user(
     sc: Scenario, u: int, w_src: np.ndarray, dispatch_idx: int, work: np.ndarray | None = None
 ) -> np.ndarray:
@@ -441,47 +436,27 @@ def _train_user(
     return w
 
 
-def _event_counts(periods: dict, budget: float, grid: bool) -> dict:
-    """Each cohort's number of events within the budget, on `_clock`'s arithmetic."""
-    if grid:
-        ((key, period),) = periods.items()
-        return {key: int(math.floor(budget / period + _TIME_EPS))}
-    counts = {}
-    for key, period in periods.items():
-        count, t = 0, period
-        while t <= budget + _TIME_EPS:
-            count += 1
-            t += period
-        counts[key] = count
-    return counts
+def _schedule(periods: dict, budget: float, grid: bool) -> list[tuple[float, object, int, bool]]:
+    """Every event within the budget, in time order.
 
-
-def _clock(
-    periods: dict, budget: float, grid: bool
-) -> Iterator[tuple[float, object, int, bool]]:
-    """Events as (time, cohort key, the cohort's event index, whether it fires again).
-
-    A grid has a single cohort and puts its k-th event at exactly
+    An event is (time, cohort key, the cohort's event index from 1,
+    whether the cohort fires again). A grid puts its k-th event at exactly
     k * period. Otherwise each cohort fires every `periods[key]` seconds
-    on an accumulated clock, and simultaneous events go in key order.
-    The last flag is False at a cohort's last event within the budget.
-    A cohort's events are numbered from 1 to its `_event_counts` entry.
+    on an accumulated clock. A cohort's times increase, so sorting keeps
+    its events in index order and puts simultaneous events in key order.
     """
-    counts = _event_counts(periods, budget, grid)
-    if grid:
-        ((key, period),) = periods.items()
-        last = counts[key]
-        for k in range(1, last + 1):
-            yield k * period, key, k, k < last
-        return
-    heap = [(period, key, 1) for key, period in periods.items() if counts[key]]
-    heapq.heapify(heap)
-    while heap:
-        t, key, index = heapq.heappop(heap)
-        again = index < counts[key]
-        yield t, key, index, again
-        if again:
-            heapq.heappush(heap, (t + periods[key], key, index + 1))
+    events = []
+    for key, period in periods.items():
+        if grid:
+            times = [k * period for k in range(1, math.floor(budget / period + _TIME_EPS) + 1)]
+        else:
+            times, t = [], period
+            while t <= budget + _TIME_EPS:
+                times.append(t)
+                t += period
+        events += [(t, key, k, k < len(times)) for k, t in enumerate(times, 1)]
+    events.sort()
+    return events
 
 
 class _Rule:
@@ -489,14 +464,14 @@ class _Rule:
 
     `periods` maps each cohort key to its cadence; `members` maps it to
     its users in ascending id. A synchronous rule has a single cohort on
-    a grid clock (see `_clock`) and ends every event with one broadcast
+    a grid (see `_schedule`) and ends every event with one broadcast
     to all users; otherwise the initial model goes out in one broadcast
     and each event answers its cohort with unicasts.
     """
 
     synchronous = False
 
-    def __init__(self, sc: Scenario, w0: np.ndarray) -> None:
+    def __init__(self, sc: Scenario) -> None:
         self.sc = sc
         self.zero_weight_uploads = 0
         self.share = sc.params.total_bandwidth / sc.config.users
@@ -535,8 +510,8 @@ class _TtFed(_Rule):
 
     synchronous = True
 
-    def __init__(self, sc: Scenario, w0: np.ndarray) -> None:
-        super().__init__(sc, w0)
+    def __init__(self, sc: Scenario) -> None:
+        super().__init__(sc)
         self.periods = {None: sc.delta_t}
 
     def cohort(self, key, k: int) -> list[int]:
@@ -601,8 +576,8 @@ class _FedAvg(_Rule):
 
     synchronous = True
 
-    def __init__(self, sc: Scenario, w0: np.ndarray) -> None:
-        super().__init__(sc, w0)
+    def __init__(self, sc: Scenario) -> None:
+        super().__init__(sc)
         self.periods = {None: sc.round_time}
         self.members = {None: list(range(sc.config.users))}
 
@@ -613,8 +588,8 @@ class _FedAvg(_Rule):
 class _FedAsync(_Rule):
     """One cohort per user: each arrival mixes straight into the global model."""
 
-    def __init__(self, sc: Scenario, w0: np.ndarray) -> None:
-        super().__init__(sc, w0)
+    def __init__(self, sc: Scenario) -> None:
+        super().__init__(sc)
         self.periods = {u: float(t) for u, t in enumerate(sc.nominal_cycle)}
         self.members = {u: [u] for u in self.periods}
 
@@ -632,13 +607,13 @@ class _FedAt(_Rule):
     slowest tier).
     """
 
-    def __init__(self, sc: Scenario, w0: np.ndarray) -> None:
-        super().__init__(sc, w0)
+    def __init__(self, sc: Scenario) -> None:
+        super().__init__(sc)
         self.members = {m: users for m, users in self.tier_users.items() if users}
         self.periods = {
             m: max(float(sc.nominal_cycle[u]) for u in users) for m, users in self.members.items()
         }
-        self.tier_models = dict.fromkeys(self.members, w0)
+        self.tier_models = dict.fromkeys(self.members, sc.initial_model)
         self.counts = dict.fromkeys(self.members, 0)
 
     def merge(self, m, index, w, survivors, upload):
@@ -682,14 +657,12 @@ def run(
             raise ValueError(f"scenario was built from a different config: {', '.join(differ)}")
 
     w = sc.initial_model
-    rule = rule_type(sc, w)
+    rule = rule_type(sc)
     metrics = RunMetrics(cfg.algorithm, sc.num_tiers, sc.delta_t, sc.round_time)
     metrics.substituted_samples = sc.substituted_samples
     metrics.tier_populations = [len(users) for users in rule.tier_users.values()]
-    budget = sc.budget_s
-    stride = _eval_stride(
-        sum(math.floor(budget / period + _TIME_EPS) for period in rule.periods.values()), cfg
-    )
+    events = _schedule(rule.periods, sc.budget_s, rule.synchronous)
+    stride = max(cfg.eval_every, math.ceil(len(events) / cfg.max_evals))
     scored = (w, sc.initial_score)  # the last model evaluated and its (accuracy, loss)
 
     def record(t: float, round_idx: int, model: np.ndarray) -> None:
@@ -708,26 +681,17 @@ def run(
     def upload(u: int) -> Upload:
         return float(sc.data_sizes[u]), _train_user(sc, u, *sent[u], work=work)
 
-    # Every event's cohort and fading, drawn in one pass before the first
-    # event: neither depends on a model, only on the clock and the rule.
-    cohorts = {}  # (cohort key, event index) -> (users, offset of their draws)
-    draw_users: list[int] = []
-    draw_events: list[int] = []
-    for key, count in _event_counts(rule.periods, budget, rule.synchronous).items():
-        for index in range(1, count + 1):
-            users = rule.cohort(key, index)
-            cohorts[key, index] = (users, len(draw_users))
-            draw_users += users
-            draw_events += [index] * len(users)
-    fadings = wireless.draw_fading(cfg.seed, draw_users, draw_events).tolist()
+    # Every event's cohort and fading, drawn in one batch before the first
+    # event: neither depends on a model, only on the schedule and the rule.
+    cohorts = [rule.cohort(key, index) for _, key, index, _ in events]
+    draw_events = [index for (_, _, index, _), users in zip(events, cohorts) for _ in users]
+    draw_users = [u for users in cohorts for u in users]
+    fadings = iter(wireless.draw_fading(cfg.seed, draw_users, draw_events).tolist())
 
-    events = 0
-    for t, key, index, again in _clock(rule.periods, budget, rule.synchronous):
-        events += 1
-        users, offset = cohorts.pop((key, index))
+    for n, ((t, key, index, again), users) in enumerate(zip(events, cohorts), 1):
         if not users:
             metrics.empty_events += 1
-        fading = dict(zip(users, fadings[offset : offset + len(users)]))
+        fading = {u: next(fadings) for u in users}
         survivors = []
         for u, bandwidth in rule.uploaders(index, users, fading).items():
             metrics.uplink_msgs += 1
@@ -749,9 +713,7 @@ def run(
                 del sent[u]
         if trace is not None:
             trace.append(w.copy())
-        if events % stride == 0:
-            record(t, events, w)
-    if events % stride != 0:
-        record(t, events, w)
+        if n % stride == 0 or n == len(events):
+            record(t, n, w)
     metrics.zero_weight_uploads = rule.zero_weight_uploads
     return metrics

@@ -113,6 +113,11 @@ class TestCsvAndSummary:
         assert set(s["target_crossings"]) == {"0.5", "0.6", "0.7", "0.8"}
         json.dumps(s)  # must be serializable as-is
 
+    def test_readme_names_every_summary_key(self, toy_run):
+        with open(os.path.join(os.path.dirname(CONFIGS), "README.md"), encoding="utf-8") as fh:
+            readme = fh.read()
+        assert [key for key in summary_dict(*toy_run) if f"`{key}`" not in readme] == []
+
     def test_summary_shows_tier_populations_and_empty_events(self, tmp_path):
         """compare.cfg at seed 1 puts every user in tier 2 of 2.
 

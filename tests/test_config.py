@@ -152,6 +152,17 @@ REJECTS = [
     ),
     ({"local_epochs": 0}, r"train\.local_epochs: must be >= 1"),
     ({"batch_size": 0}, r"train\.batch_size: must be >= 1"),
+    ({"radius_m": math.inf}, r"sim\.radius_m: must be finite"),
+    ({"delta_t_frac": math.inf}, r"sim\.delta_t_frac: must be finite"),
+    ({"delta_t_s": math.inf}, r"sim\.delta_t_s: must be finite"),
+    ({"time_budget_s": math.inf}, r"sim\.time_budget_s: must be finite"),
+    ({"path_loss_exponent": math.inf}, r"channel\.path_loss_exponent: must be finite"),
+    ({"tx_power_w": math.inf}, r"channel\.tx_power_w: must be finite"),
+    ({"total_bandwidth_hz": math.inf}, r"channel\.total_bandwidth_hz: must be finite"),
+    ({"cpu_freq_hz": math.inf}, r"compute\.cpu_freq_hz: must be finite"),
+    ({"cpu_freq_max_hz": math.inf}, r"compute\.cpu_freq_max_hz: must be finite"),
+    ({"cycles_per_sample": math.inf}, r"compute\.cycles_per_sample: must be finite"),
+    ({"learning_rate": math.inf}, r"train\.learning_rate: must be finite"),
 ]
 
 # keys whose every parseable value is valid
@@ -191,6 +202,9 @@ class TestValidate:
             learning_rate=0.0,  # a zero step is a legal no-op
             cpu_freq_max_hz=1e9,
         ).validate()
+
+    def test_skews_take_inf_as_their_limits(self):
+        ScenarioConfig(zipf_eta=math.inf, dirichlet_theta=math.inf).validate()
 
 
 class TestRoundTrip:

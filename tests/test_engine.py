@@ -1,5 +1,6 @@
 """Training-loop orchestration: tiering, cadences, counters, determinism."""
 
+import heapq
 import math
 import tracemalloc
 import weakref
@@ -591,14 +592,18 @@ class TestRunDispatch:
         The two are the current model and the last one scored; every other
         model alive must be the dispatched model of a cohort that trains again.
         """
-        made, worst = [], []
-        clock = engine._clock
+        made, worst, events = [], [], []
+        schedule = engine._schedule
 
-        def tracked_clock(periods, budget, grid):
-            events = list(clock(periods, budget, grid))
-            for i, event in enumerate(events):
-                yield event
-                firing_again = len({later[1] for later in events[i + 1 :]})
+        def tracked_schedule(periods, budget, grid):
+            events[:] = schedule(periods, budget, grid)
+            return events
+
+        class AliveAfterEachEvent(list):
+            """A trace that counts alive models once each event is done."""
+
+            def append(self, model):
+                firing_again = len({later[1] for later in events[len(worst) + 1 :]})
                 alive = sum(ref() is not None for ref in made)
                 worst.append(alive - firing_again)
 
@@ -610,7 +615,7 @@ class TestRunDispatch:
 
             return merged
 
-        monkeypatch.setattr(engine, "_clock", tracked_clock)
+        monkeypatch.setattr(engine, "_schedule", tracked_schedule)
         for merge in ("fedasync_aggregate", "fedat_aggregate"):
             monkeypatch.setattr(engine, merge, tracked(getattr(engine, merge)))
         # three populated tiers (7 fedat events), and fedasync users that fire 1-5 times
@@ -623,7 +628,7 @@ class TestRunDispatch:
             delta_t_frac=0.2,
             rounds=10,
         )
-        metrics = run(cfg)
+        metrics = run(cfg, trace=AliveAfterEachEvent())
         assert len(made) >= 7 and len(worst) == metrics.evals[-1].round
         assert max(worst) <= 2
 
@@ -863,6 +868,33 @@ class TestTrainingStreams:
         assert len(set(built)) == len(built)
 
 
+def _heap_merged_clocks(periods, budget, grid):
+    """The event clock as it was written before the schedule was listed:
+    each cohort's events counted first, then the cohorts' clocks merged
+    lazily through a heap."""
+    if grid:
+        ((key, period),) = periods.items()
+        last = int(math.floor(budget / period + engine._TIME_EPS))
+        for k in range(1, last + 1):
+            yield k * period, key, k, k < last
+        return
+    counts = {}
+    for key, period in periods.items():
+        count, t = 0, period
+        while t <= budget + engine._TIME_EPS:
+            count += 1
+            t += period
+        counts[key] = count
+    heap = [(period, key, 1) for key, period in periods.items() if counts[key]]
+    heapq.heapify(heap)
+    while heap:
+        t, key, index = heapq.heappop(heap)
+        again = index < counts[key]
+        yield t, key, index, again
+        if again:
+            heapq.heappush(heap, (t + periods[key], key, index + 1))
+
+
 class TestFadingTable:
     """A run draws every event's fading in one batch before its first event."""
 
@@ -912,19 +944,17 @@ class TestFadingTable:
         grid=st.booleans(),
     )
     @settings(max_examples=100, deadline=None)
-    def test_event_counts_number_the_clocks_events(self, periods, budget, grid):
+    def test_schedule_equals_the_heap_merged_clocks(self, periods, budget, grid):
         by_key = dict(enumerate(periods[:1] if grid else periods))
-        counts = engine._event_counts(by_key, budget, grid)
-        seen = {key: [] for key in by_key}
+        events = engine._schedule(by_key, budget, grid)
+        assert events == list(_heap_merged_clocks(by_key, budget, grid))
         last = dict.fromkeys(by_key, 0.0)
-        for t, key, index, again in engine._clock(by_key, budget, grid):
-            seen[key].append((index, again))
+        for t, key, _, _ in events:
             last[key] = t
-        for key, count in counts.items():
-            assert seen[key] == [(i, i < count) for i in range(1, count + 1)]
+        for key, period in by_key.items():
             if not grid:  # the accumulated clock's last event is the last that fits
                 assert last[key] <= budget + engine._TIME_EPS
-                assert last[key] + by_key[key] > budget + engine._TIME_EPS
+                assert last[key] + period > budget + engine._TIME_EPS
 
 
 class TestCountComm:
@@ -1027,6 +1057,38 @@ class TestInvariants:
             assert times == sorted(times)
             assert times[-1] <= sc.budget_s + 1e-9 * max(1.0, sc.budget_s)
             assert metrics.evals[-1].round == events
+
+    @given(
+        users=st.integers(1, 8),
+        train_per_class=st.integers(1, 20),
+        rounds=st.integers(0, 6),
+        delta_t_frac=st.floats(0.1, 1.0),
+        radius_m=st.floats(10.0, 1200.0),
+        zipf_eta=st.floats(0.0, 2.0),
+        max_evals=st.integers(1, 5),
+        eval_every=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_evaluations_are_thinned_to_a_stride(self, **drawn):
+        """Rounds 0, s, 2s, ... and the last event: s = max(eval_every, ceil(events / max_evals))."""
+        cfg = ScenarioConfig(
+            **drawn,
+            test_per_class=2,
+            hidden_width=4,
+            snr_threshold_db=10.0,
+            cpu_freq_max_hz=5e9,
+        )
+        sc = setup_scenario(cfg)
+        for algorithm in ("ttfed", "fedavg", "fedasync", "fedat"):
+            trace = []
+            metrics = run(replace(cfg, algorithm=algorithm), scenario=sc, trace=trace)
+            events = len(trace)
+            stride = max(cfg.eval_every, math.ceil(events / cfg.max_evals))
+            rounds = [p.round for p in metrics.evals]
+            assert rounds == sorted(set(range(0, events, stride)) | {events})
+            assert len(rounds) - 1 <= cfg.max_evals
+            assert rounds[-1] == events
 
     @pytest.mark.parametrize("scheduling_fading", FADING_MODES)
     @pytest.mark.parametrize("policy", POLICIES)
