@@ -16,7 +16,6 @@ import os
 import sys
 import tempfile
 import traceback
-from dataclasses import replace
 
 from . import __version__
 from .bound import BoundConstants, bound_table, check_conditions
@@ -198,7 +197,7 @@ def cmd_sweep(args) -> int:
     # still list the cells in grid order
     groups: dict[ScenarioConfig, list[int]] = {}
     for i, (_, cfg) in enumerate(grid):
-        groups.setdefault(replace(cfg, algorithm="ttfed"), []).append(i)
+        groups.setdefault(cfg.scenario_key(), []).append(i)
     runs = [
         {
             "axis_key": axis_key,

@@ -176,6 +176,14 @@ class ScenarioConfig:
             model_bits=model_bits,
         )
 
+    def scenario_key(self) -> ScenarioConfig:
+        """What a scenario is built from: every field but `algorithm`.
+
+        Configs with equal keys build the same scenario, so their runs may
+        share one.
+        """
+        return replace(self, algorithm=ALGORITHMS[0])
+
     def to_flat(self) -> dict[str, str]:
         """Canonical flat key/value view (used for files and hashing)."""
         out = {}

@@ -8,9 +8,11 @@ The algorithms differ only in their rule: when events happen (a fixed
 grid for ttfed and fedavg, per-user or per-tier cadences for fedasync
 and fedat), who is in the cohort, who may upload with what
 bandwidth, and how uploads merge. A rule trains each upload as it folds
-it in, so no more than one local model is held at a time besides the
-scenario's kept first uploads, and the run keeps the model it dispatched
-to a cohort only while that cohort has another event within the budget.
+it in, so at most two local models are held at a time besides the
+scenario's kept first uploads: the one being trained and the previous
+one, which the merge still holds until the next arrives. The run keeps
+the model it dispatched to a cohort only while that cohort has another
+event within the budget.
 Schedule timing uses nominal link delays (mean fading, equal bandwidth
 shares) so cadences are deterministic; realized fading only decides
 whether an upload survives.
@@ -24,11 +26,10 @@ the first draw of its own (seed, TAG_CHANNEL, user, event index) stream,
 as `tests/test_streams.py` checks against numpy.
 Every run starts from the scenario's initial model with every user at
 dispatch 0, so the scenario holds what follows from that model alone:
-the model, its test score, and each user's first upload. That upload is
-kept finished when it takes more than one SGD step and the model is no
-larger than the user's shard; otherwise only its first SGD step is kept.
-Runs that share a scenario reuse them, and get the bytes a fresh
-scenario gives.
+the model, its test score, and each user's first upload, in one slot per
+user of a `learner.FirstSteps`, which keeps the upload finished or only
+its first SGD step. Runs that share a scenario reuse them, and get the
+bytes a fresh scenario gives.
 All randomness comes from per-purpose sub-streams of the master seed, so
 trajectories are reproducible bit-for-bit regardless of execution order.
 """
@@ -162,11 +163,10 @@ class Scenario:
     Every run starts from `initial_model` with every user at dispatch 0,
     so what depends on that model alone is derived here once and shared
     by every run on the scenario: the model itself, its test score and
-    each user's first upload, filled by the first run that trains the
-    user: finished (`first_uploads`) for the users `first_upload_kept`
-    marks, and as its first SGD step (`first_steps`) for the others. A
-    scenario made by `dataclasses.replace` derives all of these afresh,
-    and they are freed with the scenario.
+    each user's first upload (`first_steps`), finished or as its first SGD
+    step, filled by the first run that trains the user. A scenario made
+    by `dataclasses.replace` derives all of these afresh, and they are
+    freed with the scenario.
 
     The data arrays are read-only. The training rows are held once, in
     one array in shard order: `shard_images[u]` and `shard_labels[u]` are
@@ -203,47 +203,19 @@ class Scenario:
         return evaluate(self.initial_model, self.test_images, self.test_labels, self.arch)
 
     @cached_property
-    def first_upload_kept(self) -> list[bool]:
-        """Per user, whether `first_uploads` keeps its first upload.
-
-        It is kept when the update takes more than one SGD step (a shard
-        larger than a batch, or more than one epoch) and the model is no
-        larger than the user's shard (param_count <= rows * in_dim), so
-        the store never holds more bytes than the training images do.
-        """
-        cfg, arch = self.config, self.arch
-        return [
-            (len(labels) > cfg.batch_size or cfg.local_epochs > 1)
-            and arch.param_count <= len(labels) * arch.in_dim
-            for labels in self.shard_labels
-        ]
-
-    @cached_property
-    def first_uploads(self) -> dict[int, np.ndarray]:
-        """User u's finished, read-only first upload from the initial model.
-
-        Filled by the first run that trains u, for the users marked in
-        `first_upload_kept`.
-        """
-        return {}
-
-    @cached_property
-    def first_step_slots(self) -> dict[int, int]:
-        """Each user's slot in `first_steps`: the users whose upload is not kept."""
-        users = (u for u, kept in enumerate(self.first_upload_kept) if not kept)
-        return {u: k for k, u in enumerate(users)}
-
-    @cached_property
     def first_steps(self) -> FirstSteps:
-        """Slot `first_step_slots[u]` holds user u's first SGD step from the initial model."""
-        batch = self.config.batch_size
-        rows = [min(len(self.shard_labels[u]), batch) for u in self.first_step_slots]
-        return FirstSteps(rows, self.arch)
+        """Slot u holds user u's first upload from the initial model (see FirstSteps)."""
+        return FirstSteps([len(labels) for labels in self.shard_labels], self.config, self.arch)
 
     @property
     def num_tiers(self) -> int:
         """M; the slowest user is always in the last tier."""
         return int(self.tier_of.max())
+
+    @cached_property
+    def tier_users(self) -> dict[int, list[int]]:
+        """Tier m -> its users in ascending id, for m = 1..M; a tier may be empty."""
+        return {m: np.flatnonzero(self.tier_of == m).tolist() for m in range(1, self.num_tiers + 1)}
 
     @property
     def round_time(self) -> float:
@@ -413,27 +385,23 @@ def _train_user(
 
     The shuffling stream is built only when the shard is larger than a
     batch, the only case in which local_update reads it. An update from
-    the scenario's initial model at dispatch 0 is the same in every run.
-    If the scenario keeps it (`Scenario.first_upload_kept`), the first run
-    to train u stores the finished upload, read-only, and later runs get
-    that array back with no training and no stream. Otherwise its first
-    step uses the scenario's first-step slot for u.
+    the scenario's initial model at dispatch 0 is the same in every run,
+    so it goes through u's slot of `Scenario.first_steps`: a kept upload
+    is served with no training and no stream once the first run to train
+    u has stored it, and any other replays the first SGD step.
     """
+    store = sc.first_steps
     first = dispatch_idx == 0 and w_src is sc.initial_model
-    kept = first and sc.first_upload_kept[u]
-    if kept and u in sc.first_uploads:
-        return sc.first_uploads[u]
+    if first and u in store.uploads:
+        return store.uploads[u]
     labels = sc.shard_labels[u]
     shuffled = sc.config.batch_size < len(labels)
     rng = substream(sc.config.seed, TAG_TRAIN, u, dispatch_idx) if shuffled else None
-    slot = (sc.first_steps, sc.first_step_slots[u]) if first and not kept else None
+    slot = (store, u) if first and not store.kept[u] else None
     w = local_update(
         w_src, sc.shard_images[u], labels, sc.config, rng, sc.arch, work=work, first_step=slot
     )
-    if kept:
-        w.flags.writeable = False
-        sc.first_uploads[u] = w
-    return w
+    return store.keep(u, w) if first else w
 
 
 def _schedule(periods: dict, budget: float, grid: bool) -> list[tuple[float, object, int, bool]]:
@@ -475,8 +443,6 @@ class _Rule:
         self.sc = sc
         self.zero_weight_uploads = 0
         self.share = sc.params.total_bandwidth / sc.config.users
-        tiers = range(1, sc.num_tiers + 1)
-        self.tier_users = {m: np.flatnonzero(sc.tier_of == m).tolist() for m in tiers}
 
     def cohort(self, key, index: int) -> list[int]:
         """Users whose cycle ends at this event; a pure function of (key, index)."""
@@ -516,11 +482,11 @@ class _TtFed(_Rule):
 
     def cohort(self, key, k: int) -> list[int]:
         """Users of the tiers due at round k."""
-        return [u for m, users in self.tier_users.items() if k % m == 0 for u in users]
+        return [u for m, users in self.sc.tier_users.items() if k % m == 0 for u in users]
 
     def weights(self, k: int) -> np.ndarray:
         """Round k's tier weights."""
-        num_tiers = len(self.tier_users)
+        num_tiers = len(self.sc.tier_users)
         if self.sc.config.policy == "equal_weight":
             return np.full(num_tiers, 1.0 / num_tiers)
         return ttfed_tier_weights(k, num_tiers)
@@ -566,7 +532,7 @@ class _TtFed(_Rule):
                 self.zero_weight_uploads += len(users)
         tier_models = [
             fedavg_aggregate(map(upload, by_tier[m])) if m in by_tier else w
-            for m in self.tier_users
+            for m in self.sc.tier_users
         ]
         return fedat_aggregate(tier_models, weights)
 
@@ -609,7 +575,7 @@ class _FedAt(_Rule):
 
     def __init__(self, sc: Scenario) -> None:
         super().__init__(sc)
-        self.members = {m: users for m, users in self.tier_users.items() if users}
+        self.members = {m: users for m, users in sc.tier_users.items() if users}
         self.periods = {
             m: max(float(sc.nominal_cycle[u]) for u in users) for m, users in self.members.items()
         }
@@ -636,9 +602,9 @@ def run(
     """Run the configured algorithm through the cohort-event loop.
 
     A pre-built scenario may be shared across algorithms for a fair
-    comparison, but must come from a config identical in everything
-    except the algorithm field. With `trace`, the global model after
-    every event is appended to it.
+    comparison, but must come from a config with the same
+    `scenario_key`: identical in everything but the algorithm field.
+    With `trace`, the global model after every event is appended to it.
     """
     try:
         rule_type = _RULES[cfg.algorithm]
@@ -648,11 +614,8 @@ def run(
         sc = setup_scenario(cfg)
     else:
         sc = scenario
-        differ = [
-            f.name
-            for f in fields(cfg)
-            if f.name != "algorithm" and getattr(cfg, f.name) != getattr(sc.config, f.name)
-        ]
+        ours, built = cfg.scenario_key(), sc.config.scenario_key()
+        differ = [f.name for f in fields(cfg) if getattr(ours, f.name) != getattr(built, f.name)]
         if differ:
             raise ValueError(f"scenario was built from a different config: {', '.join(differ)}")
 
@@ -660,7 +623,7 @@ def run(
     rule = rule_type(sc)
     metrics = RunMetrics(cfg.algorithm, sc.num_tiers, sc.delta_t, sc.round_time)
     metrics.substituted_samples = sc.substituted_samples
-    metrics.tier_populations = [len(users) for users in rule.tier_users.values()]
+    metrics.tier_populations = [len(users) for users in sc.tier_users.values()]
     events = _schedule(rule.periods, sc.budget_s, rule.synchronous)
     stride = max(cfg.eval_every, math.ceil(len(events) / cfg.max_evals))
     scored = (w, sc.initial_score)  # the last model evaluated and its (accuracy, loss)

@@ -16,7 +16,8 @@ activations of a pass) and the storage a caller of `local_update` may
 lend: the gradient scratch vector `work`, and `first_step`, a slot of
 `FirstSteps`, where updates that start from the same model on the same
 first batch keep all of that step's gradient work but the first-layer
-weight product.
+weight product. `FirstSteps` also states which such updates are worth
+keeping finished instead.
 """
 
 from __future__ import annotations
@@ -169,26 +170,50 @@ def _gradient(
 
 
 class FirstSteps:
-    """Lent storage for the first SGD step of many updates, one slot each.
+    """Storage for many updates' results from one start model, one slot each.
 
-    Slot k holds what update k's first step computes before its
+    Slot k belongs to a `local_update` under `cfg` on a shard of
+    `sizes[k]` rows. `kept[k]` marks a slot that keeps the update's
+    finished result: the update takes more than one SGD step (a shard
+    larger than a batch, or more than one epoch) and the model is no
+    larger than the shard (param_count <= rows * in_dim), so the kept
+    results never take more bytes than the images they are trained on.
+    Its owner stores that result with `keep`, read-only, in `uploads[k]`.
+
+    Any other slot holds what the update's first step computes before its
     first-layer weight gradient: d_hidden (one row per row of the first
-    batch, `rows[k]` rows) and the gradient of b1, W2 and b2, which sit
-    after W1 in the flat layout. The first step to use a slot fills it;
-    later ones read it and compute only images.T @ d_hidden, the same
-    product from the same operands, so their bits are the same.
+    batch; a kept slot has none) and the gradient of b1, W2 and b2, which
+    sit after W1 in the flat layout. The first step to use the slot, lent
+    to `local_update`, fills it; later ones read it and compute only
+    images.T @ d_hidden, the same product from the same operands, so
+    their bits are the same.
 
     A slot is only correct for MODEL_DTYPE updates that share a start
-    model, shard and first batch; the owner of the storage keeps it to
-    those. Both arrays are allocated once, uninitialized, for all slots.
+    model, shard, first batch and, for a kept one, training stream; the
+    owner of the storage keeps it to those. Both first-step arrays are
+    allocated once, uninitialized, for all slots.
     """
 
-    def __init__(self, rows: list[int], arch: MlpArch) -> None:
+    def __init__(self, sizes: list[int], cfg: ScenarioConfig, arch: MlpArch) -> None:
+        batch = cfg.batch_size
+        self.kept = [
+            (n > batch or cfg.local_epochs > 1) and arch.param_count <= n * arch.in_dim
+            for n in sizes
+        ]
+        rows = [0 if kept else min(n, batch) for n, kept in zip(sizes, self.kept)]
         self._bounds = list(accumulate(rows, initial=0))
         self._split = arch.in_dim * arch.hidden
         self.d_hidden = np.empty((self._bounds[-1], arch.hidden), MODEL_DTYPE)
-        self.rest = np.empty((len(rows), arch.param_count - self._split), MODEL_DTYPE)
-        self.filled = [False] * len(rows)
+        self.rest = np.empty((len(sizes), arch.param_count - self._split), MODEL_DTYPE)
+        self.filled = [False] * len(sizes)
+        self.uploads: dict[int, np.ndarray] = {}
+
+    def keep(self, k: int, w: np.ndarray) -> np.ndarray:
+        """w, slot k's update result; stored read-only in `uploads` if the slot is kept."""
+        if self.kept[k]:
+            w.flags.writeable = False
+            self.uploads[k] = w
+        return w
 
     def gradient(self, k: int, layers, images, labels, g: np.ndarray, grads) -> None:
         """`_gradient` of slot k's first batch into g, whose views are `grads`."""
@@ -244,9 +269,9 @@ def local_update(
     on return are undefined. Without it one is allocated per call. The
     result is always a fresh array, never `work` or `w_in`.
 
-    `first_step`, a (FirstSteps, slot) pair, is lent storage for the
-    first step's gradient, which it fills or replays (see FirstSteps);
-    the result is the same with or without it.
+    `first_step`, a (FirstSteps, slot) pair whose slot is not kept, is
+    lent storage for the first step's gradient, which it fills or replays
+    (see FirstSteps); the result is the same with or without it.
     """
     n = len(labels)
     if n == 0:

@@ -152,6 +152,8 @@ class TestSetupScenario:
         assert sc.delta_t == delta
         assert np.array_equal(sc.tier_of, tier_of)
         assert sc.num_tiers == tier_of.max() == tier_of[sc.nominal_cycle.argmax()]
+        tiers = range(1, sc.num_tiers + 1)
+        assert sc.tier_users == {m: [u for u in range(4) if tier_of[u] == m] for m in tiers}
 
     def test_budget_semantics(self):
         sc = setup_scenario(BASE)
@@ -569,21 +571,27 @@ class TestRunDispatch:
 
     @pytest.mark.parametrize("name", ["ttfed", "fedavg", "fedasync", "fedat"])
     def test_uploads_are_folded_as_they_are_trained(self, name, monkeypatch):
-        """At most the upload being folded and the one just trained are alive."""
-        trained, most_alive = [], 0
+        """At most one earlier local model is alive when the next is trained.
+
+        A merge may still hold the upload it folded last, so with the one
+        being trained a run holds at most two local models.
+        """
+        trained, earlier_alive = [], []
         local_update = engine.local_update
 
         def tracked(*args, **kwargs):
-            nonlocal most_alive
+            earlier_alive.append(sum(ref() is not None for ref in trained))
             local = local_update(*args, **kwargs)
             trained.append(weakref.ref(local))
-            most_alive = max(most_alive, sum(ref() is not None for ref in trained))
             return local
 
         monkeypatch.setattr(engine, "local_update", tracked)
-        metrics = run(toy_config(algorithm=name, users=10, delta_t_frac=1.0, rounds=3))
+        cfg = toy_config(algorithm=name, users=10, delta_t_frac=1.0, rounds=3)
+        sc = setup_scenario(cfg)
+        assert not any(sc.first_steps.kept)  # the scenario holds no finished upload
+        metrics = run(cfg, scenario=sc)
         assert len(trained) == metrics.success_total > 2
-        assert most_alive <= 2
+        assert max(earlier_alive) <= 1
 
     @pytest.mark.parametrize("name", ["fedasync", "fedat"])
     def test_a_model_lives_only_while_its_cohort_fires_again(self, name, monkeypatch):
@@ -723,8 +731,9 @@ class TestSharedScenario:
         assert not sc.initial_model.flags.writeable
 
     def test_first_step_store_memory_of_many_users(self):
-        """The store holds the first-step slots of the users whose upload is not
-        kept, one parameter vector per kept user, and at most 1 MiB more."""
+        """The store holds every user's gradient of b1, W2 and b2, the first-step
+        d_hidden rows of the users whose upload is not kept, one parameter vector
+        per kept user, and at most 1 MiB more."""
         cfg = toy_config(
             users=1000, train_per_class=1000, test_per_class=200, zipf_eta=1.0, dirichlet_theta=0.5
         )
@@ -748,10 +757,10 @@ class TestSharedScenario:
         slots = [u for u in range(cfg.users) if u not in kept]
         rows = sum(min(sizes[u], cfg.batch_size) for u in slots)
         rest = arch.param_count - arch.in_dim * arch.hidden
-        store = (rows * arch.hidden + len(slots) * rest + len(kept) * arch.param_count) * 4
+        store = (rows * arch.hidden + cfg.users * rest + len(kept) * arch.param_count) * 4
         assert held <= store + 2**20
-        assert sorted(sc.first_uploads) == kept and 0 < len(kept) < cfg.users
-        assert all(sc.first_steps.filled)
+        assert sorted(sc.first_steps.uploads) == kept and 0 < len(kept) < cfg.users
+        assert all(sc.first_steps.filled[u] for u in slots)
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     @pytest.mark.parametrize("local_epochs", [1, 2], ids=["1-epoch", "2-epochs"])
@@ -762,10 +771,10 @@ class TestSharedScenario:
         others = [name for name in ALGORITHMS if name != algorithm]
         for order in (others, others[::-1]):
             sc = setup_scenario(cfg)
-            assert any(sc.first_upload_kept) and not all(sc.first_upload_kept)
+            assert any(sc.first_steps.kept) and not all(sc.first_steps.kept)
             for name in order:
                 run(replace(cfg, algorithm=name), scenario=sc)
-            assert sc.first_uploads and any(sc.first_steps.filled)
+            assert sc.first_steps.uploads and any(sc.first_steps.filled)
             trace: list[np.ndarray] = []
             served = run(cfg, scenario=sc, trace=trace)
             assert served == fresh  # every EvalPoint and counter
@@ -791,7 +800,7 @@ class TestSharedScenario:
             return substream(seed, *key)
 
         def counted_train_user(sc_, u, w_src, dispatch_idx, work=None):
-            if dispatch_idx == 0 and sc_.first_upload_kept[u]:
+            if dispatch_idx == 0 and sc_.first_steps.kept[u]:
                 served.append(u)
             return train_user(sc_, u, w_src, dispatch_idx, work=work)
 
@@ -800,28 +809,28 @@ class TestSharedScenario:
         monkeypatch.setattr(engine, "_train_user", counted_train_user)
         for name in ALGORITHMS:
             run(replace(cfg, algorithm=name), scenario=sc)
-        kept = sorted(sc.first_uploads)
+        kept = sorted(sc.first_steps.uploads)
         assert kept and set(served) == set(kept) and len(served) > len(kept)
         for u in kept:
             assert updates.count(u) == 1 and streams.count(u) == 1
         # users whose upload is not kept train from the initial model in every run
-        assert len(updates) > len(kept) + sum(not k for k in sc.first_upload_kept)
+        assert len(updates) > len(kept) + sum(not k for k in sc.first_steps.kept)
 
     def test_a_kept_upload_is_read_only(self):
         sc = setup_scenario(KEEPING)
         run(KEEPING, scenario=sc)
-        for w in sc.first_uploads.values():
+        for w in sc.first_steps.uploads.values():
             with pytest.raises(ValueError):
                 w[0] = 0.0
 
     def test_replace_starts_with_an_empty_store(self):
         sc = setup_scenario(KEEPING)
         run(KEEPING, scenario=sc)
-        assert sc.first_uploads
+        assert sc.first_steps.uploads
         sc2 = replace(sc)
-        assert sc2.first_uploads == {} and not any(sc2.first_steps.filled)
+        assert sc2.first_steps.uploads == {} and not any(sc2.first_steps.filled)
         run(KEEPING, scenario=sc2)
-        assert sorted(sc2.first_uploads) == sorted(sc.first_uploads)
+        assert sorted(sc2.first_steps.uploads) == sorted(sc.first_steps.uploads)
 
     @given(
         users=st.integers(2, 12),
@@ -836,10 +845,10 @@ class TestSharedScenario:
         sc = setup_scenario(cfg)
         for name in ALGORITHMS:
             run(replace(cfg, algorithm=name), scenario=sc)
-        for u in sc.first_uploads:  # each kept update takes more than one SGD step
+        for u in sc.first_steps.uploads:  # each kept update takes more than one SGD step
             assert len(sc.shard_labels[u]) > cfg.batch_size or cfg.local_epochs > 1
-        stored = sum(w.nbytes for w in sc.first_uploads.values())
-        assert stored <= sum(sc.shard_images[u].nbytes for u in sc.first_uploads)
+        stored = sum(w.nbytes for w in sc.first_steps.uploads.values())
+        assert stored <= sum(sc.shard_images[u].nbytes for u in sc.first_steps.uploads)
 
 
 class TestTrainingStreams:

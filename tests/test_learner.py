@@ -371,7 +371,7 @@ class TestFirstSteps:
         images = images.astype(MODEL_DTYPE)
         w = init_params(40)
         cfg = ScenarioConfig(learning_rate=0.05, local_epochs=epochs, batch_size=batch_size)
-        store = FirstSteps([5, min(n, batch_size), 3], ARCH)  # this update owns slot 1
+        store = FirstSteps([5, n, 3], cfg, ARCH)  # this update owns slot 1
         plain = local_update(w, images, labels, cfg, np.random.default_rng(3))
         results = []
         for _ in range(2):  # the first call fills the slot, the second replays it
@@ -385,13 +385,54 @@ class TestFirstSteps:
         images = images.astype(MODEL_DTYPE)
         w = init_params(41)
         cfg = ScenarioConfig(learning_rate=0.5, batch_size=32)
-        store = FirstSteps([20], ARCH)
+        store = FirstSteps([20], cfg, ARCH)
         filled = local_update(w, images, labels, cfg, None, first_step=(store, 0))
         store.rest[0] = 0.0  # b1, W2 and b2 get no gradient; W1 still does
         replayed = local_update(w, images, labels, cfg, None, first_step=(store, 0))
         split = ARCH.in_dim * ARCH.hidden
         assert replayed[:split].tobytes() == filled[:split].tobytes()
         assert replayed[split:].tobytes() == w[split:].tobytes() != filled[split:].tobytes()
+
+    @pytest.mark.parametrize(
+        "arch,sizes,batch_size,epochs,kept",
+        [
+            # 6,370 parameters: a shard of 9 or more rows has as many values
+            (MlpArch(hidden=8), [7, 8, 9, 41], 8, 1, [False, False, True, True]),
+            (MlpArch(hidden=8), [7, 8, 9, 41], 8, 2, [False, False, True, True]),
+            (MlpArch(hidden=8), [7, 8, 9, 41], 64, 1, [False, False, False, False]),
+            (MlpArch(hidden=8), [7, 8, 9, 41], 64, 3, [False, False, True, True]),
+            # 39,760 parameters: 51 rows or more
+            (ARCH, [41, 50, 51, 200], 32, 1, [False, False, True, True]),
+            (ARCH, [41, 50, 51, 200], 64, 1, [False, False, False, True]),
+            (ARCH, [41, 50, 51, 200], 256, 2, [False, False, True, True]),
+            # 40 parameters: a 10-row shard has exactly as many values
+            (MlpArch(in_dim=4, hidden=2), [9, 10, 11], 1, 1, [False, True, True]),
+        ],
+        ids=[
+            "h8-shuffled",
+            "h8-2-epochs",
+            "h8-full-batch",
+            "h8-full-batch-3-epochs",
+            "h50-shuffled",
+            "h50-one-shuffled",
+            "h50-full-batch-2-epochs",
+            "equal-size",
+        ],
+    )
+    def test_keeps_a_multi_step_upload_no_larger_than_its_shard(
+        self, arch, sizes, batch_size, epochs, kept
+    ):
+        cfg = ScenarioConfig(local_epochs=epochs, batch_size=batch_size)
+        assert FirstSteps(sizes, cfg, arch).kept == kept
+
+    def test_a_kept_slot_has_no_first_step_rows(self):
+        arch = MlpArch(hidden=8)
+        store = FirstSteps([7, 41, 8, 9], ScenarioConfig(batch_size=8), arch)
+        assert store.kept == [False, True, False, True]
+        assert store.d_hidden.shape == (7 + 8, arch.hidden)  # slots 0 and 2 only
+        rest = arch.param_count - arch.in_dim * arch.hidden
+        assert store.rest.shape == (4, rest)  # a row per slot, kept or not
+        assert store.filled == [False] * 4 and store.uploads == {}
 
 
 class TestEvaluate:
