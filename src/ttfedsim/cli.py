@@ -1,9 +1,9 @@
 """Command-line front end: single runs, parameter sweeps, bound tables.
 
 Output files are written atomically (temp file + rename) so a killed run
-never leaves a half-written CSV. The metrics CSV schema is fixed:
-time_s,round,algorithm,accuracy,loss,uplink_msgs,downlink_broadcasts,
-downlink_unicasts,success_users,failed_users.
+never leaves a half-written CSV. A run's summary dict feeds its console
+line and its sweep's comparison row; each CSV's columns are listed once,
+in METRICS_COLUMNS and COMPARISON_COLUMNS.
 """
 
 from __future__ import annotations
@@ -32,18 +32,36 @@ from .config import (
 )
 from .engine import RunMetrics, count_comm, run, setup_scenario
 
-CSV_HEADER = [
-    "time_s",
-    "round",
-    "algorithm",
-    "accuracy",
-    "loss",
-    "uplink_msgs",
-    "downlink_broadcasts",
-    "downlink_unicasts",
-    "success_users",
-    "failed_users",
-]
+# Each CSV's columns in order, mapped to the format spec of their values.
+# A metrics row is an EvalPoint plus its run's algorithm.
+METRICS_COLUMNS = {
+    "time_s": ".9g",
+    "round": "",
+    "algorithm": "",
+    "accuracy": ".6f",
+    "loss": ".9g",
+    "uplink_msgs": "",
+    "downlink_broadcasts": "",
+    "downlink_unicasts": "",
+    "success_users": "",
+    "failed_users": "",
+}
+CSV_HEADER = list(METRICS_COLUMNS)
+
+# A comparison row is a cell's summary (see summary_dict) plus its axis value.
+COMPARISON_COLUMNS = {
+    "axis_value": "",
+    "seed": "",
+    "algorithm": "",
+    "final_accuracy": ".6f",
+    "final_loss": ".9g",
+    "uplink_msgs": "",
+    "downlink_broadcasts": "",
+    "downlink_unicasts": "",
+    "num_tiers": "",
+    "delta_t_s": ".9g",
+    "peak_accuracy": ".6f",
+}
 
 OUT_DIR_ENV = "TTFEDSIM_OUT_DIR"
 
@@ -62,32 +80,18 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _csv_text(header: list[str], rows) -> str:
+def _csv_text(columns: dict[str, str], rows) -> str:
+    """A header of `columns`, then one line per mapping in `rows`, each value in its format."""
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerow(columns)
+    writer.writerows([format(row[name], spec) for name, spec in columns.items()] for row in rows)
     return buf.getvalue()
 
 
 def metrics_csv_text(metrics: RunMetrics) -> str:
     return _csv_text(
-        CSV_HEADER,
-        (
-            [
-                f"{p.time_s:.9g}",
-                p.round,
-                metrics.algorithm,
-                f"{p.accuracy:.6f}",
-                f"{p.loss:.9g}",
-                p.uplink_msgs,
-                p.downlink_broadcasts,
-                p.downlink_unicasts,
-                p.success_users,
-                p.failed_users,
-            ]
-            for p in metrics.evals
-        ),
+        METRICS_COLUMNS, (dict(vars(p), algorithm=metrics.algorithm) for p in metrics.evals)
     )
 
 
@@ -128,29 +132,29 @@ def _out_dir(args) -> str:
     return os.environ.get(OUT_DIR_ENV, "ttfedsim_out")
 
 
-def _write_run(prefix: str, cfg: ScenarioConfig, metrics: RunMetrics) -> tuple[str, str]:
-    """Write a run's metrics CSV and summary JSON; returns their paths."""
+def _write_run(prefix: str, cfg: ScenarioConfig, metrics: RunMetrics) -> tuple[dict, str, str]:
+    """Write a run's metrics CSV and summary JSON; returns the summary and their paths."""
     csv_path = f"{prefix}_metrics.csv"
     json_path = f"{prefix}_summary.json"
     _atomic_write(csv_path, metrics_csv_text(metrics))
-    _atomic_write(json_path, json.dumps(summary_dict(cfg, metrics), indent=2) + "\n")
-    return csv_path, json_path
+    summary = summary_dict(cfg, metrics)
+    _atomic_write(json_path, json.dumps(summary, indent=2) + "\n")
+    return summary, csv_path, json_path
 
 
 def cmd_run(args) -> int:
     # --seed goes last, so it wins over an --override of sim.seed
     seed = [f"sim.seed={args.seed}"] if args.seed is not None else []
     cfg = load_config(args.config, (args.override or []) + seed)
-    metrics = run(cfg)
-    csv_path, json_path = _write_run(
-        os.path.join(_out_dir(args), f"{cfg.algorithm}_seed{cfg.seed}"), cfg, metrics
+    summary, csv_path, json_path = _write_run(
+        os.path.join(_out_dir(args), f"{cfg.algorithm}_seed{cfg.seed}"), cfg, run(cfg)
     )
     print(f"wrote {csv_path}")
     print(f"wrote {json_path}")
-    last = metrics.evals[-1]
     print(
-        f"{metrics.algorithm}: final accuracy {last.accuracy:.4f}, "
-        f"loss {last.loss:.4f} after {last.round} rounds ({last.time_s:.3f}s simulated)"
+        f"{summary['algorithm']}: final accuracy {summary['final_accuracy']:.4f}, "
+        f"loss {summary['final_loss']:.4f} after {summary['events']} rounds "
+        f"({summary['final_time_s']:.3f}s simulated)"
     )
     return 0
 
@@ -234,46 +238,22 @@ def cmd_sweep(args) -> int:
         for i in cells:
             value, cfg = grid[i]
             try:
-                metrics = run(cfg, scenario)
                 tag = f"{axis_key.split('.')[-1]}_{value}_seed{cfg.seed}_{cfg.algorithm}"
-                csv_path, json_path = _write_run(os.path.join(out, "runs", tag), cfg, metrics)
+                summary, csv_path, json_path = _write_run(
+                    os.path.join(out, "runs", tag), cfg, run(cfg, scenario)
+                )
             except Exception as exc:
                 fail(i, exc)
                 continue
             runs[i].update(metrics_csv=csv_path, summary_json=json_path)
             write_manifest()
-            last = metrics.evals[-1]
-            rows[i] = [
-                value,
-                cfg.seed,
-                metrics.algorithm,
-                f"{last.accuracy:.6f}",
-                f"{last.loss:.9g}",
-                metrics.uplink_msgs,
-                metrics.downlink_broadcasts,
-                metrics.downlink_unicasts,
-                metrics.num_tiers,
-                f"{metrics.delta_t:.9g}",
-                f"{metrics.peak_accuracy:.6f}",
-            ]
-            print(f"{axis_key}={value} seed={cfg.seed}: accuracy {last.accuracy:.4f}")
+            rows[i] = dict(summary, axis_value=value)
+            print(f"{axis_key}={value} seed={cfg.seed}: accuracy {summary['final_accuracy']:.4f}")
         del scenario  # freed before the next group's is built
 
     comparison = os.path.join(out, "comparison.csv")
-    header = [
-        "axis_value",
-        "seed",
-        "algorithm",
-        "final_accuracy",
-        "final_loss",
-        "uplink_msgs",
-        "downlink_broadcasts",
-        "downlink_unicasts",
-        "num_tiers",
-        "delta_t_s",
-        "peak_accuracy",
-    ]
-    _atomic_write(comparison, _csv_text(header, (row for row in rows if row is not None)))
+    done = (row for row in rows if row is not None)
+    _atomic_write(comparison, _csv_text(COMPARISON_COLUMNS, done))
     print(f"wrote {comparison}")
     print(f"wrote {manifest}")
     failed = rows.count(None)

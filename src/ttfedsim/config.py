@@ -176,6 +176,11 @@ class ScenarioConfig:
             model_bits=model_bits,
         )
 
+    @property
+    def equal_share_hz(self) -> float:
+        """B/U, each user's uplink bandwidth when the budget is split evenly."""
+        return self.total_bandwidth_hz / self.users
+
     def scenario_key(self) -> ScenarioConfig:
         """What a scenario is built from: every field but `algorithm`.
 

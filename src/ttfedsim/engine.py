@@ -348,7 +348,7 @@ def setup_scenario(cfg: ScenarioConfig) -> Scenario:
     # The loop stays scalar: numpy's array `**` differs from Python's float `**`
     # in the last bit (521 of 10,000 path losses over ten 1000-user placements),
     # so a vectorized path loss would change the bits of nominal_cycle.
-    share = params.total_bandwidth / cfg.users
+    share = cfg.equal_share_hz
     nominal_cycle = tau_cp + np.array(
         [
             wireless.comm_delay(
@@ -442,7 +442,7 @@ class _Rule:
     def __init__(self, sc: Scenario) -> None:
         self.sc = sc
         self.zero_weight_uploads = 0
-        self.share = sc.params.total_bandwidth / sc.config.users
+        self.share = sc.config.equal_share_hz
 
     def cohort(self, key, index: int) -> list[int]:
         """Users whose cycle ends at this event; a pure function of (key, index)."""
@@ -486,7 +486,7 @@ class _TtFed(_Rule):
 
     def weights(self, k: int) -> np.ndarray:
         """Round k's tier weights."""
-        num_tiers = len(self.sc.tier_users)
+        num_tiers = self.sc.num_tiers
         if self.sc.config.policy == "equal_weight":
             return np.full(num_tiers, 1.0 / num_tiers)
         return ttfed_tier_weights(k, num_tiers)

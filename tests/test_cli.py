@@ -4,13 +4,17 @@ import csv
 import json
 import math
 import os
+import re
 import weakref
+from dataclasses import fields
 
 import pytest
 
 from ttfedsim import cli
 from ttfedsim.cli import (
+    COMPARISON_COLUMNS,
     CSV_HEADER,
+    METRICS_COLUMNS,
     _atomic_write,
     _parse_axis,
     load_bound_constants,
@@ -27,11 +31,20 @@ from ttfedsim.config import (
     load_config,
     parse_config_text,
 )
-from ttfedsim.engine import run, setup_scenario
+from ttfedsim.engine import EvalPoint, run, setup_scenario
 
 from test_datagen import write_idx_images, write_idx_labels
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
+
+
+def readme_blocks(heading: str, language: str) -> list[str]:
+    """The bodies of the ```language blocks in README's section under `heading`."""
+    with open(os.path.join(os.path.dirname(CONFIGS), "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split(f"\n{heading}\n", 1)[1]
+    section = re.split(r"\n#{2,3} ", section, maxsplit=1)[0]
+    return re.findall(rf"```{language}\n(.*?)```", section, re.S)
+
 
 # small enough to train and evaluate in tens of milliseconds
 TOY_CFG = """\
@@ -118,6 +131,30 @@ class TestCsvAndSummary:
             readme = fh.read()
         assert [key for key in summary_dict(*toy_run) if f"`{key}`" not in readme] == []
 
+    def test_metrics_columns_are_the_eval_fields(self):
+        columns = [name for name in METRICS_COLUMNS if name != "algorithm"]
+        assert columns == [f.name for f in fields(EvalPoint)]
+
+    def test_comparison_columns_are_summary_keys(self, toy_run):
+        columns = set(COMPARISON_COLUMNS) - {"axis_value"}
+        assert columns - set(summary_dict(*toy_run)) == set()
+
+    def test_readme_outputs_show_both_headers(self):
+        headers = [",".join(METRICS_COLUMNS) + "\n", ",".join(COMPARISON_COLUMNS) + "\n"]
+        assert readme_blocks("## Outputs", "") == headers
+
+    def test_comparison_rows_are_the_cells_summaries(self, toy_cfg_file, tmp_path):
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--config", toy_cfg_file, "--axis", "sim.algorithm=ttfed,fedavg"]
+        assert main(argv + ["--seeds", "1,2", "--out-dir", str(out)]) == 0
+        expected = [list(COMPARISON_COLUMNS)]
+        for entry in json.loads((out / "manifest.json").read_text())["runs"]:
+            with open(entry["summary_json"], encoding="utf-8") as fh:
+                row = dict(json.load(fh), axis_value=entry["axis_value"])
+            expected.append([format(row[name], spec) for name, spec in COMPARISON_COLUMNS.items()])
+        rows = list(csv.reader((out / "comparison.csv").read_text().splitlines()))
+        assert len(rows) == 5 and rows == expected
+
     def test_summary_shows_tier_populations_and_empty_events(self, tmp_path):
         """compare.cfg at seed 1 puts every user in tier 2 of 2.
 
@@ -153,6 +190,11 @@ class TestCsvAndSummary:
         s = summary_dict(cfg, run(cfg, scenario=sc, trace=trace))
         assert s["events"] == len(trace) > 0
         assert 0.0 < s["final_time_s"] <= sc.budget_s
+
+
+def test_readme_library_use_runs():
+    (snippet,) = readme_blocks("### Library use", "python")
+    exec(compile(snippet, "README.md", "exec"), {"__name__": "readme_library_use"})
 
 
 class TestAtomicWrite:

@@ -1,4 +1,5 @@
-"""The repo's pytest settings let a failing property report its example."""
+"""The repo's pytest settings let a failing property report its example and
+fail a run that uses an unregistered marker."""
 
 import os
 import subprocess
@@ -14,6 +15,15 @@ from hypothesis import given, settings, strategies as st
 @given(st.integers(0, 10))
 def test_fails(x):
     assert x < 5
+"""
+
+UNREGISTERED_MARKER = """\
+import pytest
+
+
+@pytest.mark.slwo
+def test_marked():
+    pass
 """
 
 
@@ -40,3 +50,20 @@ def test_failing_property_prints_its_example(tmp_path):
     assert proc.returncode == 1, out
     assert "Falsifying example" in out
     assert "INTERNALERROR" not in out
+
+
+def test_unregistered_marker_fails_the_run(tmp_path):
+    (tmp_path / "test_marked.py").write_text(UNREGISTERED_MARKER)
+    config = os.path.join(ROOT, "pyproject.toml")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", config]
+        + ["test_marked.py"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    out = proc.stdout + proc.stderr
+    assert proc.returncode != 0, out
+    # the strict-markers error, not the unknown-mark warning turned into one
+    assert "'slwo' not found in `markers` configuration option" in out
