@@ -13,7 +13,28 @@ whenever the contraction factor lies in (0, 1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from numbers import Integral
+
+_NONNEGATIVE = (
+    "grad_offset",
+    "grad_slope",
+    "drift_inner",
+    "drift_norm",
+    "local_ratio",
+    "local_gap",
+    "initial_gap",
+)
+
+
+class ConstantError(ValueError):
+    """A bound constant outside its range; `field` names it."""
+
+    def __init__(self, field: str, reason: str) -> None:
+        super().__init__(f"{field} {reason}")
+        self.field = field
+        self.reason = reason
 
 
 @dataclass(frozen=True)
@@ -43,30 +64,34 @@ class BoundConstants:
     failure_fractions: tuple[float, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        if not self.smoothness > 0:
-            raise ValueError(f"smoothness must be positive, got {self.smoothness}")
-        if not self.strong_convexity > 0:
-            raise ValueError(f"strong_convexity must be positive, got {self.strong_convexity}")
-        for name in ("grad_offset", "grad_slope", "drift_inner", "drift_norm",
-                     "local_ratio", "local_gap"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.initial_gap < 0:
-            raise ValueError(f"initial_gap must be >= 0, got {self.initial_gap}")
+        """Reject each constant outside its range; NaN and infinity are outside every range."""
+        for name in ("smoothness", "strong_convexity"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ConstantError(name, f"must be positive and finite, got {value}")
+        for name in _NONNEGATIVE:
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ConstantError(name, f"must be >= 0 and finite, got {value}")
+        if isinstance(self.num_tiers, bool) or not isinstance(self.num_tiers, Integral):
+            raise ConstantError("num_tiers", f"must be an integer, got {self.num_tiers!r}")
         if self.num_tiers < 1:
-            raise ValueError(f"num_tiers must be >= 1, got {self.num_tiers}")
+            raise ConstantError("num_tiers", f"must be >= 1, got {self.num_tiers}")
         if self.median_const is not None and not 0 < self.median_const < self.num_tiers:
-            raise ValueError(
-                f"median_const must lie in (0, {self.num_tiers}), got {self.median_const}"
+            raise ConstantError(
+                "median_const", f"must lie in (0, {self.num_tiers}), got {self.median_const}"
             )
         fractions = self.failure_fractions or (0.0,) * self.num_tiers
         if len(fractions) != self.num_tiers:
-            raise ValueError(
-                f"{len(fractions)} failure fractions for {self.num_tiers} tiers"
+            raise ConstantError(
+                "failure_fractions",
+                f"holds {len(fractions)} failure fractions for {self.num_tiers} tiers",
             )
         for f in fractions:
             if not 0.0 <= f <= 1.0:
-                raise ValueError(f"failure fractions must lie in [0, 1], got {f}")
+                raise ConstantError(
+                    "failure_fractions", f"must hold failure fractions in [0, 1], got {f}"
+                )
         object.__setattr__(self, "failure_fractions", tuple(fractions))
 
     @property

@@ -18,7 +18,7 @@ import tempfile
 import traceback
 
 from . import __version__
-from .bound import BoundConstants, bound_table, check_conditions
+from .bound import BoundConstants, ConstantError, bound_table, check_conditions
 from .config import (
     ConfigError,
     ScenarioConfig,
@@ -287,9 +287,14 @@ def load_bound_constants(path: str, overrides: list[str] | None = None) -> tuple
     raw = apply_overrides(raw, overrides or [])
     kwargs = parse_keys(raw, _BOUND_KEYS)
     rounds = kwargs.pop("round_values", [0, 1, 10, 100, 1000])
+    if any(k < 0 for k in rounds):
+        raise ConfigError(f"bound.round_values: every K must be >= 0, got {rounds}")
     try:
         constants = BoundConstants(**kwargs)
-    except (ValueError, TypeError) as exc:
+    except ConstantError as exc:
+        key = next(key for key, (attr, _) in _BOUND_KEYS.items() if attr == exc.field)
+        raise ConfigError(f"bound constants invalid: {key} {exc.reason}") from exc
+    except TypeError as exc:  # a constant without a default is missing
         raise ConfigError(f"bound constants invalid: {exc}") from exc
     return constants, rounds
 

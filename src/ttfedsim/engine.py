@@ -10,9 +10,16 @@ and fedat), who is in the cohort, who may upload with what
 bandwidth, and how uploads merge. A rule trains each upload as it folds
 it in, so at most two local models are held at a time besides the
 scenario's kept first uploads: the one being trained and the previous
-one, which the merge still holds until the next arrives. The run keeps
-the model it dispatched to a cohort only while that cohort has another
-event within the budget.
+one, which the merge still holds until the next arrives. The
+synchronous rules (ttfed per due tier, fedavg, fedat per tier) merge by
+FedAvg, and there the uploads that take a single SGD step enter as one:
+a step on their size-weighted mean gradient, whose first-layer product
+runs once over the rows of their shards, which setup lays out in
+(tier, user) order (`learner.one_step_mean`). This moved the ttfed,
+fedavg and fedat trajectories by float32 rounding when it was
+introduced; fedasync trains every upload on its own and kept its bits.
+The run keeps the model it dispatched to a cohort only while that cohort
+has another event within the budget.
 Schedule timing uses nominal link delays (mean fading, equal bandwidth
 shares) so cadences are deterministic; realized fading only decides
 whether an upload survives.
@@ -39,8 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import Callable
-
+from itertools import chain
 import numpy as np
 
 from . import allocator, wireless
@@ -59,7 +65,15 @@ from .datagen import (
     synthetic_digits,
     training_subset,
 )
-from .learner import FirstSteps, MlpArch, evaluate, init_params, local_update
+from .learner import (
+    FirstSteps,
+    MlpArch,
+    evaluate,
+    init_params,
+    local_update,
+    one_step_mean,
+    takes_one_step,
+)
 from .streams import (
     TAG_CPU,
     TAG_INIT,
@@ -169,8 +183,12 @@ class Scenario:
     freed with the scenario.
 
     The data arrays are read-only. The training rows are held once, in
-    one array in shard order: `shard_images[u]` and `shard_labels[u]` are
-    consecutive slices of it, not copies.
+    one array, `train_images`, in (tier, user) order: user u's shard is
+    its rows from `row_start[u]`, and `shard_images[u]` and
+    `shard_labels[u]` are slices of that array and of its labels, not
+    copies. Each tier's shards therefore form one slice, over which the
+    synchronous rules merge their one-step uploads with one first-layer
+    product (`learner.one_step_mean`).
     """
 
     config: ScenarioConfig
@@ -179,6 +197,8 @@ class Scenario:
     distances: np.ndarray  # per user, meters
     shard_images: list[np.ndarray]  # per user, MODEL_DTYPE rows; read-only views of one array
     shard_labels: list[np.ndarray]  # per user; read-only views of one array
+    train_images: np.ndarray  # every shard's rows, in (tier, user) order; read-only
+    row_start: np.ndarray  # per user, the first row of its shard in train_images
     data_sizes: np.ndarray  # per user, samples
     test_images: np.ndarray  # MODEL_DTYPE, read-only
     test_labels: np.ndarray  # read-only
@@ -206,6 +226,11 @@ class Scenario:
     def first_steps(self) -> FirstSteps:
         """Slot u holds user u's first upload from the initial model (see FirstSteps)."""
         return FirstSteps([len(labels) for labels in self.shard_labels], self.config, self.arch)
+
+    @cached_property
+    def one_step(self) -> list[bool]:
+        """Per user, whether its local update is a single SGD step."""
+        return [takes_one_step(len(labels), self.config) for labels in self.shard_labels]
 
     @property
     def num_tiers(self) -> int:
@@ -315,8 +340,9 @@ def setup_scenario(cfg: ScenarioConfig) -> Scenario:
 
     The datasets hold their images as MODEL_DTYPE, the dtype the learner
     trains and scores in. Partition splits every training row among the
-    users, so the rows are put into shard order in place and each shard
-    is a slice of them: the training images are never held twice.
+    users, so once the tiers are known the rows are put in place into
+    (tier, user) order, and each shard is a slice of them: the training
+    images are never held twice.
     """
     cfg.validate()
     train, test = _load_datasets(cfg)
@@ -331,12 +357,6 @@ def setup_scenario(cfg: ScenarioConfig) -> Scenario:
         seed=derive_seed(cfg.seed, TAG_PARTITION),
     )
     data_sizes = np.array([s.size for s in shards], dtype=np.float64)
-    order = np.concatenate([s.indices for s in shards])
-    _permute_rows(train.images, order)
-    images, labels = train.images, train.labels[order]
-    for array in (images, labels, test.images, test.labels):
-        array.flags.writeable = False
-    bounds = np.cumsum([0] + [s.size for s in shards]).tolist()
     if cfg.cpu_freq_max_hz is not None:
         freqs = substream(cfg.seed, TAG_CPU).uniform(
             cfg.cpu_freq_hz, cfg.cpu_freq_max_hz, cfg.users
@@ -360,13 +380,25 @@ def setup_scenario(cfg: ScenarioConfig) -> Scenario:
     delta_t, tier_of = build_tiers(
         nominal_cycle, delta_t_s=cfg.delta_t_s, delta_t_frac=cfg.delta_t_frac
     )
+    users = np.argsort(tier_of, kind="stable")  # (tier, user) order
+    order = np.concatenate([shards[u].indices for u in users])
+    _permute_rows(train.images, order)
+    images, labels = train.images, train.labels[order]
+    for array in (images, labels, test.images, test.labels):
+        array.flags.writeable = False
+    counts = np.array([shards[u].size for u in users])
+    row_start = np.empty(cfg.users, dtype=np.int64)
+    row_start[users] = np.cumsum(counts) - counts
+    rows = [slice(a, a + shard.size) for a, shard in zip(row_start.tolist(), shards)]
     return Scenario(
         config=cfg,
         params=params,
         arch=arch,
         distances=distances,
-        shard_images=[images[a:b] for a, b in zip(bounds, bounds[1:])],
-        shard_labels=[labels[a:b] for a, b in zip(bounds, bounds[1:])],
+        shard_images=[images[r] for r in rows],
+        shard_labels=[labels[r] for r in rows],
+        train_images=images,
+        row_start=row_start,
         data_sizes=data_sizes,
         test_images=test.images,
         test_labels=test.labels,
@@ -402,6 +434,55 @@ def _train_user(
         w_src, sc.shard_images[u], labels, sc.config, rng, sc.arch, work=work, first_step=slot
     )
     return store.keep(u, w) if first else w
+
+
+class _Training:
+    """A run's local training: the model each user was sent, and the uploads from it.
+
+    `sent[u]` is (model, dispatch index) of u's last dispatch; the loop
+    sets it. `upload(u)` trains u's upload (`_train_user`). `mean(users)`
+    is the FedAvg of several users' uploads, the merge of the synchronous
+    rules.
+    """
+
+    def __init__(self, sc: Scenario, w: np.ndarray) -> None:
+        self.sc = sc
+        self.sent = dict.fromkeys(range(sc.config.users), (w, 0))
+        self.work = np.empty_like(w)  # gradient scratch shared by every local update
+
+    def upload(self, u: int) -> Upload:
+        return float(self.sc.data_sizes[u]), _train_user(self.sc, u, *self.sent[u], work=self.work)
+
+    def mean(self, users: list[int]) -> np.ndarray:
+        """FedAvg of the uploads of `users`, ascending, who were all sent one model.
+
+        The one-step users' uploads enter it first, as one upload of their
+        total size: one SGD step from that model on their size-weighted
+        mean gradient (`learner.one_step_mean`). The other users' uploads
+        are trained and folded one at a time after it.
+        """
+        sc = self.sc
+        one = [u for u in users if sc.one_step[u]]
+        uploads = map(self.upload, [u for u in users if not sc.one_step[u]])
+        if not one:
+            return fedavg_aggregate(uploads)
+        w_src, index = self.sent[one[0]]
+        total = sum(float(sc.data_sizes[u]) for u in one)
+        shards = [
+            (u, int(sc.row_start[u]), sc.shard_labels[u], float(sc.data_sizes[u]) / total)
+            for u in one
+        ]
+        first = index == 0 and w_src is sc.initial_model
+        w = one_step_mean(
+            w_src,
+            sc.train_images,
+            shards,
+            sc.config.learning_rate,
+            sc.arch,
+            work=self.work,
+            first_steps=sc.first_steps if first else None,
+        )
+        return fedavg_aggregate(chain([(total, w)], uploads))
 
 
 def _schedule(periods: dict, budget: float, grid: bool) -> list[tuple[float, object, int, bool]]:
@@ -455,18 +536,14 @@ class _Rule:
         return dict.fromkeys(users, self.share)
 
     def merge(
-        self,
-        key,
-        index: int,
-        w: np.ndarray,
-        survivors: list[int],
-        upload: Callable[[int], Upload],
+        self, key, index: int, w: np.ndarray, survivors: list[int], train: _Training
     ) -> np.ndarray:
         """The new global model from the current one and the surviving uploads.
 
-        `survivors` are the users whose upload arrived, ascending, and
-        `upload(u)` trains u's local model. Rules fold each upload as they
-        train it, so a cohort's local models are never all held at once.
+        `survivors` are the users whose upload arrived, ascending.
+        `train.upload(u)` trains u's local model and `train.mean(users)`
+        merges a group by FedAvg. Both fold each upload as they train it,
+        so a cohort's local models are never all held at once.
         """
         raise NotImplementedError
 
@@ -517,7 +594,7 @@ class _TtFed(_Rule):
             plan = allocator.select_users(qualified, params.total_bandwidth, sc.config.greedy_skip)
         return {u: plan.bandwidth[u] for u in plan.selected}
 
-    def merge(self, key, k, w, survivors, upload):
+    def merge(self, key, k, w, survivors, train):
         """FedAvg inside each due tier, then FedAT's simplex mix over all tiers.
 
         A tier that is not due, or that had no survivor, contributes the
@@ -531,7 +608,7 @@ class _TtFed(_Rule):
             if weights[m - 1] == 0.0:
                 self.zero_weight_uploads += len(users)
         tier_models = [
-            fedavg_aggregate(map(upload, by_tier[m])) if m in by_tier else w
+            train.mean(by_tier[m]) if m in by_tier else w
             for m in self.sc.tier_users
         ]
         return fedat_aggregate(tier_models, weights)
@@ -547,8 +624,8 @@ class _FedAvg(_Rule):
         self.periods = {None: sc.round_time}
         self.members = {None: list(range(sc.config.users))}
 
-    def merge(self, key, index, w, survivors, upload):
-        return fedavg_aggregate(map(upload, survivors)) if survivors else w
+    def merge(self, key, index, w, survivors, train):
+        return train.mean(survivors) if survivors else w
 
 
 class _FedAsync(_Rule):
@@ -559,9 +636,9 @@ class _FedAsync(_Rule):
         self.periods = {u: float(t) for u, t in enumerate(sc.nominal_cycle)}
         self.members = {u: [u] for u in self.periods}
 
-    def merge(self, key, index, w, survivors, upload):
+    def merge(self, key, index, w, survivors, train):
         for u in survivors:
-            w = fedasync_aggregate(w, upload(u)[1], self.sc.config.psi)
+            w = fedasync_aggregate(w, train.upload(u)[1], self.sc.config.psi)
         return w
 
 
@@ -582,9 +659,9 @@ class _FedAt(_Rule):
         self.tier_models = dict.fromkeys(self.members, sc.initial_model)
         self.counts = dict.fromkeys(self.members, 0)
 
-    def merge(self, m, index, w, survivors, upload):
+    def merge(self, m, index, w, survivors, train):
         if survivors:
-            self.tier_models[m] = fedavg_aggregate(map(upload, survivors))
+            self.tier_models[m] = train.mean(survivors)
         self.counts[m] += 1
         total = sum(self.counts.values())
         swapped = reversed(list(self.counts.values()))
@@ -638,12 +715,7 @@ def run(
     if not rule.synchronous:
         metrics.downlink_broadcasts += 1  # initial model distribution
 
-    sent = dict.fromkeys(range(cfg.users), (w, 0))  # user -> (model, dispatch index)
-    work = np.empty_like(w)  # gradient scratch shared by every local update
-
-    def upload(u: int) -> Upload:
-        return float(sc.data_sizes[u]), _train_user(sc, u, *sent[u], work=work)
-
+    train = _Training(sc, w)
     # Every event's cohort and fading, drawn in one batch before the first
     # event: neither depends on a model, only on the schedule and the rule.
     cohorts = [rule.cohort(key, index) for _, key, index, _ in events]
@@ -664,16 +736,16 @@ def run(
             else:
                 metrics.failed_total += 1
         metrics.success_total += len(survivors)
-        w = rule.merge(key, index, w, survivors, upload)
+        w = rule.merge(key, index, w, survivors, train)
         if rule.synchronous:
             metrics.downlink_broadcasts += 1
         else:
             metrics.downlink_unicasts += len(users)
         for u in users:  # a cohort with no further event never trains from its model
             if again:
-                sent[u] = (w, index)
+                train.sent[u] = (w, index)
             else:
-                del sent[u]
+                del train.sent[u]
         if trace is not None:
             trace.append(w.copy())
         if n % stride == 0 or n == len(events):

@@ -17,14 +17,16 @@ lend: the gradient scratch vector `work`, and `first_step`, a slot of
 `FirstSteps`, where updates that start from the same model on the same
 first batch keep all of that step's gradient work but the first-layer
 weight product. `FirstSteps` also states which such updates are worth
-keeping finished instead.
+keeping finished instead. `one_step_mean` merges single-step updates
+from one model as one step on their weighted mean gradient, with one
+first-layer product over all their rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -169,6 +171,11 @@ def _gradient(
     return shifted, sums
 
 
+def takes_one_step(rows: int, cfg: ScenarioConfig) -> bool:
+    """Whether `local_update` under `cfg` takes a single SGD step on a shard of `rows` rows."""
+    return rows <= cfg.batch_size and cfg.local_epochs == 1
+
+
 class FirstSteps:
     """Storage for many updates' results from one start model, one slot each.
 
@@ -192,15 +199,19 @@ class FirstSteps:
     model, shard, first batch and, for a kept one, training stream; the
     owner of the storage keeps it to those. Both first-step arrays are
     allocated once, uninitialized, for all slots.
+
+    An update that takes a single SGD step may also be merged with
+    others by `one_step_mean`, which fills or reads its slot through
+    `backprop` and scales copies of what it holds, never the slot. So a
+    slot holds the same bytes whichever path fills it, and a later
+    `local_update` from the same model replays it bit for bit.
     """
 
     def __init__(self, sizes: list[int], cfg: ScenarioConfig, arch: MlpArch) -> None:
-        batch = cfg.batch_size
         self.kept = [
-            (n > batch or cfg.local_epochs > 1) and arch.param_count <= n * arch.in_dim
-            for n in sizes
+            not takes_one_step(n, cfg) and arch.param_count <= n * arch.in_dim for n in sizes
         ]
-        rows = [0 if kept else min(n, batch) for n, kept in zip(sizes, self.kept)]
+        rows = [0 if kept else min(n, cfg.batch_size) for n, kept in zip(sizes, self.kept)]
         self._bounds = list(accumulate(rows, initial=0))
         self._split = arch.in_dim * arch.hidden
         self.d_hidden = np.empty((self._bounds[-1], arch.hidden), MODEL_DTYPE)
@@ -215,8 +226,11 @@ class FirstSteps:
             self.uploads[k] = w
         return w
 
-    def gradient(self, k: int, layers, images, labels, g: np.ndarray, grads) -> None:
-        """`_gradient` of slot k's first batch into g, whose views are `grads`."""
+    def backprop(self, k: int, layers, images, labels, g: np.ndarray, grads) -> np.ndarray:
+        """`_backprop` of slot k's first batch into g, whose views are `grads`.
+
+        Returns the slot's d_hidden rows, which the caller must not write.
+        """
         d_hidden = self.d_hidden[self._bounds[k] : self._bounds[k + 1]]
         rest = g[self._split :]
         if self.filled[k]:
@@ -225,7 +239,11 @@ class FirstSteps:
             d_hidden[...] = _backprop(layers, images, labels, grads)[0]
             self.rest[k] = rest
             self.filled[k] = True
-        _first_layer(images, d_hidden, grads[0])
+        return d_hidden
+
+    def gradient(self, k: int, layers, images, labels, g: np.ndarray, grads) -> None:
+        """`_gradient` of slot k's first batch into g, whose views are `grads`."""
+        _first_layer(images, self.backprop(k, layers, images, labels, g, grads), grads[0])
 
 
 def loss_and_gradient(
@@ -300,6 +318,62 @@ def local_update(
                 np.subtract(src, g, out=w)
                 src, src_layers = w, layers
     return w
+
+
+def one_step_mean(
+    w_in: np.ndarray,
+    images: np.ndarray,
+    shards: Sequence[tuple[int, int, np.ndarray, float]],
+    learning_rate: float,
+    arch: MlpArch = MlpArch(),
+    *,
+    work: np.ndarray | None = None,
+    first_steps: FirstSteps | None = None,
+) -> np.ndarray:
+    """The weighted mean of one-step updates from w_in, taken as one step.
+
+    Each shard is (slot, start, labels, weight): its rows are
+    images[start : start + len(labels)], no two shards share a row, there
+    is at least one shard, and the weights sum to 1. Each shard's update
+    is one full-batch SGD step from w_in (see `takes_one_step`), so their
+    weighted mean is one step on the weighted mean gradient (FedSGD):
+
+        sum_u a_u * (w_in - lr * g_u) = w_in - lr * sum_u a_u * g_u.
+
+    Each shard still runs its own forward and backward pass up to
+    d_hidden and the gradient of b1, W2 and b2. Those are scaled by
+    lr * a_u and summed: the d_hidden rows into one array aligned with
+    the rows from the first shard's first to the last shard's last (zero
+    in rows of no shard), so that the first-layer weight gradient is a
+    single product of those rows, transposed, with that array. The result
+    agrees with the mean of the shards' `local_update`s up to float
+    rounding.
+
+    With `first_steps`, each shard's backward pass goes through its
+    `slot` there (see FirstSteps.backprop), which it fills or replays;
+    the slot must not be kept. `work` is a gradient scratch vector, as
+    for `local_update`.
+    """
+    lo = min(start for _, start, _, _ in shards)
+    hi = max(start + len(labels) for _, start, labels, _ in shards)
+    split = arch.in_dim * arch.hidden
+    g = np.empty_like(w_in) if work is None else work
+    grads, layers = _views(g, arch), _views(w_in, arch)
+    d_hidden = np.zeros((hi - lo, arch.hidden), w_in.dtype)
+    rest = np.zeros_like(g[split:])
+    with np.errstate(over="ignore"):  # see _forward
+        for slot, start, labels, weight in shards:
+            rows = slice(start, start + len(labels))
+            if first_steps is None:
+                d = _backprop(layers, images[rows], labels, grads)[0]
+            else:
+                d = first_steps.backprop(slot, layers, images[rows], labels, g, grads)
+            scale = learning_rate * weight
+            np.multiply(d, scale, out=d_hidden[start - lo : start - lo + len(labels)])
+            rest += np.multiply(g[split:], scale, out=g[split:])
+    g[split:] = rest
+    _first_layer(images[lo:hi], d_hidden, grads[0])
+    return np.subtract(w_in, g)
 
 
 def evaluate(

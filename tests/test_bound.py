@@ -8,6 +8,7 @@ import pytest
 
 from ttfedsim.bound import (
     BoundConstants,
+    ConstantError,
     asymptotic_bound,
     bound_table,
     check_conditions,
@@ -235,6 +236,32 @@ class TestConstantsValidation:
     def test_bad_scalars(self, field, value):
         with pytest.raises(ValueError, match=field):
             constants(**{field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "smoothness",
+            "strong_convexity",
+            "grad_offset",
+            "grad_slope",
+            "drift_inner",
+            "drift_norm",
+            "local_ratio",
+            "local_gap",
+            "initial_gap",
+            "median_const",
+        ],
+    )
+    def test_non_finite_scalars(self, field, value):
+        with pytest.raises(ConstantError, match=field) as caught:
+            constants(**{field: value})
+        assert caught.value.field == field
+
+    @pytest.mark.parametrize("tiers", [math.inf, 2.0, True])
+    def test_num_tiers_is_an_integer(self, tiers):
+        with pytest.raises(ConstantError, match="num_tiers"):
+            constants(num_tiers=tiers)
 
     @pytest.mark.parametrize("xi", [0.0, 1.0, -0.5, 2.0])
     def test_median_const_range(self, xi):

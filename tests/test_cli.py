@@ -571,6 +571,35 @@ class TestLoadBoundConstants:
         with pytest.raises(ConfigError, match="bound constants invalid"):
             load_bound_constants(bound_cfg_file, overrides=["bound.smoothness=-1"])
 
+    # one rejected value per key; NaN and infinity are rejected wherever a float is read
+    REJECTED = {
+        "bound.smoothness": "0",
+        "bound.strong_convexity": "nan",
+        "bound.grad_offset": "inf",
+        "bound.grad_slope": "-0.1",
+        "bound.drift_inner": "-inf",
+        "bound.drift_norm": "nan",
+        "bound.local_ratio": "inf",
+        "bound.local_gap": "nan",
+        "bound.initial_gap": "inf",
+        "bound.num_tiers": "0",
+        "bound.median_const": "nan",
+        "bound.failure_fractions": "nan",
+        "bound.round_values": "0,-1",
+    }
+
+    def test_every_key_has_a_rejection_row(self):
+        assert sorted(self.REJECTED) == sorted(cli._BOUND_KEYS)
+
+    @pytest.mark.parametrize("key", sorted(REJECTED))
+    def test_rejection_names_the_key(self, bound_cfg_file, key, capsys):
+        override = f"{key}={self.REJECTED[key]}"
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            load_bound_constants(bound_cfg_file, overrides=[override])
+        assert main(["bound", "--config", bound_cfg_file, "--override", override]) != 0
+        captured = capsys.readouterr()
+        assert key in captured.err and "conditions_ok" not in captured.out
+
 
 class TestBoundCommand:
     def test_table_output(self, bound_cfg_file, capsys):

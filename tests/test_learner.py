@@ -15,6 +15,7 @@ from ttfedsim.learner import (
     init_params,
     local_update,
     loss_and_gradient,
+    one_step_mean,
 )
 
 ARCH = MlpArch()
@@ -433,6 +434,54 @@ class TestFirstSteps:
         rest = arch.param_count - arch.in_dim * arch.hidden
         assert store.rest.shape == (4, rest)  # a row per slot, kept or not
         assert store.filled == [False] * 4 and store.uploads == {}
+
+
+class TestOneStepMean:
+    """Single-step updates from one model, merged as one step on their mean gradient."""
+
+    SIZES = [7, 1, 12, 5]  # shards laid out in this order, with 3 rows of no shard after the second
+
+    def case(self, dtype):
+        arch = MlpArch(in_dim=16, hidden=6)
+        rng = np.random.default_rng(50)
+        images = rng.uniform(0.0, 1.0, size=(sum(self.SIZES) + 3, arch.in_dim)).astype(dtype)
+        starts = [0, 7, 11, 23]
+        shards = [
+            (k, start, rng.integers(0, arch.out_dim, size=n), n / sum(self.SIZES))
+            for k, (start, n) in enumerate(zip(starts, self.SIZES))
+        ]
+        w = init_params(50, arch).astype(dtype)
+        cfg = ScenarioConfig(learning_rate=0.7, batch_size=16)
+        uploads = [
+            local_update(w, images[start : start + len(labels)], labels, cfg, None, arch)
+            for _, start, labels, _ in shards
+        ]
+        mean = sum(weight * u.astype(np.float64) for (*_, weight), u in zip(shards, uploads))
+        return arch, images, shards, w, cfg, mean
+
+    def test_float64_is_the_weighted_mean_of_the_updates(self):
+        arch, images, shards, w, cfg, mean = self.case(np.float64)
+        merged = one_step_mean(w, images, shards, cfg.learning_rate, arch)
+        np.testing.assert_allclose(merged, mean, rtol=0, atol=1e-14)
+
+    def test_float32_within_rounding_and_the_same_with_a_store(self):
+        arch, images, shards, w, cfg, mean = self.case(MODEL_DTYPE)
+        merged = one_step_mean(w, images, shards, cfg.learning_rate, arch)
+        assert merged.dtype == MODEL_DTYPE
+        assert np.abs(merged - mean).max() <= 4 * np.finfo(MODEL_DTYPE).eps * np.abs(mean).max()
+        store = FirstSteps(self.SIZES, cfg, arch)
+        for _ in range(2):  # the first call fills every slot, the second replays them
+            work = np.empty_like(w)
+            stored = one_step_mean(
+                w, images, shards, cfg.learning_rate, arch, work=work, first_steps=store
+            )
+            assert all(store.filled) and stored.tobytes() == merged.tobytes()
+        # the slots hold what a lone update fills them with
+        for k, start, labels, _ in shards:
+            alone = FirstSteps(self.SIZES, cfg, arch)
+            rows = images[start : start + len(labels)]
+            local_update(w, rows, labels, cfg, None, arch, first_step=(alone, k))
+            assert alone.rest[k].tobytes() == store.rest[k].tobytes()
 
 
 class TestEvaluate:
