@@ -49,6 +49,11 @@ The first 12 hex digits, per-user merge -> cohort merge:
     three-tiers-ttfed-equal-bandwidth-realization  7d624e51f5da    unchanged
     three-tiers-ttfed-equal-weight                 bf88e3cbfa2c    unchanged
     three-tiers-ttfed-realization                  df6a1bc77e2c    unchanged
+
+Because a hash of the scores can miss a model that moved, `MODELS` pins the
+models too: per cell, a sha256 over the bytes of every global model the run
+traces, in event order. These were taken after that second re-baseline, with
+`GOLDEN` as it stands.
 """
 
 import hashlib
@@ -121,6 +126,25 @@ GOLDEN = {
     "three-tiers-ttfed-realization": "df6a1bc77e2c27443cb8d4b38c0c81d61eb1a1b3a91d70a9346afcc2428426a3",
 }
 
+MODELS = {
+    "budget-fedasync": "322a26e03d6f6d5648fdf5ec625ef0722d75e9d9ca83779ca2b6b69b992ec314",
+    "budget-fedat": "175ab2b321b70d00753bf2251bf4639dd6108e0b54f87ae5e199682c6b915362",
+    "budget-fedavg": "2e6ebfcb0546900dbb3306d3475ddb195c3a64d3743de3169fa6ae22555bce26",
+    "budget-ttfed": "cc963f54e54048cf9c8c966d3a4d4ca0f8516b196b2bf9b2f472a225f7dbebc2",
+    "one-tier-fedasync": "0634e8ab89245461d2b973a123f50dc4e5276ac0e13fc1eb53bb5a307b6da738",
+    "one-tier-fedat": "29c4ae791c5b8c2b54f19d61aeac1a1e6e42d5aec06cb2e5c58cb1b71320c048",
+    "one-tier-fedavg": "29c4ae791c5b8c2b54f19d61aeac1a1e6e42d5aec06cb2e5c58cb1b71320c048",
+    "one-tier-ttfed": "40556821c4f11c7955cd47642b8d53cbe5be597994f9f0667ce93770a03a93da",
+    "three-tiers-fedasync": "865cfd4f012d6c30b39da6bd05d9468fb4f6dbfdca4c91c452e6aef5c7ac12ee",
+    "three-tiers-fedat": "30526096375a9890c9a58fdaa63ffe4e2df6ca540a0da3cdc75a6947f326e50d",
+    "three-tiers-fedavg": "4991257a773f12c52560bb364d3d219df282f0e30dcc3472102f9f4a9649171d",
+    "three-tiers-ttfed": "82db674753e62e605383b5ce3ae1271a2ffdaa1ce23140eca9f49f2c1a884679",
+    "three-tiers-ttfed-equal-bandwidth": "8610efb416c3c9d7ac8e532cf32f1ccc1dac570b2778d0d6b42285ffa12fb138",
+    "three-tiers-ttfed-equal-bandwidth-realization": "eba0f0b09325a46cb449e1418e333dcf49c6d6e091b74ecb25b48267fd4acde5",
+    "three-tiers-ttfed-equal-weight": "9917fef09c6a18cb95477984eb38f57d42558b2497517f612b69bc450a95a472",
+    "three-tiers-ttfed-realization": "4532cbd9abb85b1e783e1ed1d3040374895c76712ada913899b5cd6f81fb4936",
+}
+
 
 @lru_cache(maxsize=None)
 def scenario(cfg: ScenarioConfig):
@@ -169,9 +193,24 @@ def trajectory_sha256(metrics: RunMetrics) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-def run_case(case: str) -> RunMetrics:
+def models_sha256(models: list[np.ndarray]) -> str:
+    """sha256 over the bytes of every model, in order."""
+    digest = hashlib.sha256()
+    for w in models:
+        digest.update(w.tobytes())
+    return digest.hexdigest()
+
+
+@lru_cache(maxsize=None)
+def traced_case(case: str) -> tuple[RunMetrics, list[np.ndarray]]:
+    """The case's run and the global model after each of its events."""
     cfg = config(case)
-    return run(cfg, scenario(replace(cfg, algorithm="ttfed")))
+    models: list[np.ndarray] = []
+    return run(cfg, scenario(replace(cfg, algorithm="ttfed")), trace=models), models
+
+
+def run_case(case: str) -> RunMetrics:
+    return traced_case(case)[0]
 
 
 def test_grid_covers_the_tier_structures():
@@ -187,3 +226,8 @@ def test_grid_sees_failed_uploads():
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_golden_trajectory(case):
     assert trajectory_sha256(run_case(case)) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_models(case):
+    assert models_sha256(traced_case(case)[1]) == MODELS[case]
