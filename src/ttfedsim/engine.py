@@ -13,11 +13,14 @@ scenario's kept first uploads: the one being trained and the previous
 one, which the merge still holds until the next arrives. The
 synchronous rules (ttfed per due tier, fedavg, fedat per tier) merge by
 FedAvg, and there the uploads that take a single SGD step enter as one:
-a step on their size-weighted mean gradient, whose first-layer product
-runs once over the rows of their shards, which setup lays out in
-(tier, user) order (`learner.one_step_mean`). This moved the ttfed,
-fedavg and fedat trajectories by float32 rounding when it was
-introduced; fedasync trains every upload on its own and kept its bits.
+a step on their size-weighted mean gradient (`learner.one_step_mean`,
+given the users' row starts and shard sizes). Their backward passes run
+as one stacked pass per shard size, each batch with the bits it gets
+alone, and their first-layer product runs once over the rows of their
+shards, which setup lays out in (tier, user) order. Merging them as one
+step moved the ttfed, fedavg and fedat trajectories by float32 rounding
+when it was introduced; stacking the passes moved no bit. fedasync
+trains every upload on its own.
 The run keeps the model it dispatched to a cohort only while that cohort
 has another event within the budget.
 Schedule timing uses nominal link delays (mean fading, equal bandwidth
@@ -185,10 +188,10 @@ class Scenario:
     The data arrays are read-only. The training rows are held once, in
     one array, `train_images`, in (tier, user) order: user u's shard is
     its rows from `row_start[u]`, and `shard_images[u]` and
-    `shard_labels[u]` are slices of that array and of its labels, not
-    copies. Each tier's shards therefore form one slice, over which the
-    synchronous rules merge their one-step uploads with one first-layer
-    product (`learner.one_step_mean`).
+    `shard_labels[u]` are slices of that array and of its labels,
+    `train_labels`, not copies. Each tier's shards therefore form one
+    slice, over which the synchronous rules merge their one-step uploads
+    with one first-layer product (`learner.one_step_mean`).
     """
 
     config: ScenarioConfig
@@ -198,6 +201,7 @@ class Scenario:
     shard_images: list[np.ndarray]  # per user, MODEL_DTYPE rows; read-only views of one array
     shard_labels: list[np.ndarray]  # per user; read-only views of one array
     train_images: np.ndarray  # every shard's rows, in (tier, user) order; read-only
+    train_labels: np.ndarray  # the labels of train_images' rows; read-only
     row_start: np.ndarray  # per user, the first row of its shard in train_images
     data_sizes: np.ndarray  # per user, samples
     test_images: np.ndarray  # MODEL_DTYPE, read-only
@@ -398,6 +402,7 @@ def setup_scenario(cfg: ScenarioConfig) -> Scenario:
         shard_images=[images[r] for r in rows],
         shard_labels=[labels[r] for r in rows],
         train_images=images,
+        train_labels=labels,
         row_start=row_start,
         data_sizes=data_sizes,
         test_images=test.images,
@@ -458,8 +463,10 @@ class _Training:
 
         The one-step users' uploads enter it first, as one upload of their
         total size: one SGD step from that model on their size-weighted
-        mean gradient (`learner.one_step_mean`). The other users' uploads
-        are trained and folded one at a time after it.
+        mean gradient (`learner.one_step_mean`, given their shards' row
+        starts and sizes, and their slots of `Scenario.first_steps` when
+        the model is the initial one at dispatch 0). The other users'
+        uploads are trained and folded one at a time after it.
         """
         sc = self.sc
         one = [u for u in users if sc.one_step[u]]
@@ -467,22 +474,21 @@ class _Training:
         if not one:
             return fedavg_aggregate(uploads)
         w_src, index = self.sent[one[0]]
-        total = sum(float(sc.data_sizes[u]) for u in one)
-        shards = [
-            (u, int(sc.row_start[u]), sc.shard_labels[u], float(sc.data_sizes[u]) / total)
-            for u in one
-        ]
+        one = np.array(one)
+        sizes = sc.data_sizes[one].astype(np.int64)
         first = index == 0 and w_src is sc.initial_model
         w = one_step_mean(
             w_src,
             sc.train_images,
-            shards,
+            sc.train_labels,
+            sc.row_start[one],
+            sizes,
             sc.config.learning_rate,
             sc.arch,
             work=self.work,
-            first_steps=sc.first_steps if first else None,
+            first_steps=(sc.first_steps, one) if first else None,
         )
-        return fedavg_aggregate(chain([(total, w)], uploads))
+        return fedavg_aggregate(chain([(float(sizes.sum()), w)], uploads))
 
 
 def _schedule(periods: dict, budget: float, grid: bool) -> list[tuple[float, object, int, bool]]:

@@ -17,15 +17,18 @@ lend: the gradient scratch vector `work`, and `first_step`, a slot of
 `FirstSteps`, where updates that start from the same model on the same
 first batch keep all of that step's gradient work but the first-layer
 weight product. `FirstSteps` also states which such updates are worth
-keeping finished instead. `one_step_mean` merges single-step updates
-from one model as one step on their weighted mean gradient, with one
-first-layer product over all their rows.
+keeping finished instead.
+
+The backward pass, `_backprop`, takes a stack of same-size batches and
+gives each batch the bits it gets alone; `local_update` runs it on one
+batch at a time. `one_step_mean` merges single-step updates from one
+model as one step on their weighted mean gradient, with one stacked
+pass per shard size and one first-layer product over all their rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -81,22 +84,12 @@ def init_params(seed: int, arch: MlpArch = MlpArch()) -> np.ndarray:
     return w.astype(MODEL_DTYPE)
 
 
-def _pass(layers, images: np.ndarray):
-    """_forward on the (W1, b1, W2, b2) views; the caller ignores overflow."""
-    w1, b1, w2, b2 = layers
-    hidden = images @ w1
-    hidden += b1
-    np.negative(hidden, out=hidden)
-    np.exp(hidden, out=hidden)
-    hidden += 1.0
-    np.divide(1.0, hidden, out=hidden)
-    shifted = hidden @ w2
-    shifted += b2
-    shifted -= shifted.max(axis=1, keepdims=True)
-    probs = np.exp(shifted)
-    sums = probs.sum(axis=1, keepdims=True)
-    probs /= sums
-    return hidden, shifted, probs, sums
+def _sigmoid(x: np.ndarray) -> None:
+    """The logistic sigmoid of x, in place; the caller ignores overflow (see _forward)."""
+    np.negative(x, out=x)
+    np.exp(x, out=x)
+    x += 1.0
+    np.divide(1.0, x, out=x)
 
 
 def _forward(w: np.ndarray, images: np.ndarray, arch: MlpArch):
@@ -107,9 +100,27 @@ def _forward(w: np.ndarray, images: np.ndarray, arch: MlpArch):
     are computed in place in them. A pre-activation below about -88 in
     float32 (-709 in float64) overflows exp(-x) to inf, which is how the
     sigmoid saturates to exactly 0, so that overflow is not reported.
+
+    The row max that shifts the logits is taken one logit column at a
+    time: max is exact, so it is the max along each row, and on a test
+    set's thousands of rows one np.maximum per column is about ten times
+    faster than a reduction along each row's few columns.
     """
+    w1, b1, w2, b2 = _views(w, arch)
     with np.errstate(over="ignore"):
-        return _pass(_views(w, arch), images)
+        hidden = images @ w1
+        hidden += b1
+        _sigmoid(hidden)
+        shifted = hidden @ w2
+        shifted += b2
+        top = shifted[:, 0].copy()
+        for column in shifted.T[1:]:
+            np.maximum(top, column, out=top)
+        shifted -= top[:, None]
+        probs = np.exp(shifted)
+        sums = probs.sum(axis=1, keepdims=True)
+        probs /= sums
+    return hidden, shifted, probs, sums
 
 
 def _mean_cross_entropy(shifted: np.ndarray, sums: np.ndarray, labels: np.ndarray) -> float:
@@ -117,58 +128,77 @@ def _mean_cross_entropy(shifted: np.ndarray, sums: np.ndarray, labels: np.ndarra
     return -float(picked.mean())
 
 
-def _backprop(layers, images: np.ndarray, labels: np.ndarray, grads):
-    """Every part of the batch's gradient but the first-layer weights'.
+def _backprop(layers, hidden: np.ndarray, labels: np.ndarray, rest: np.ndarray):
+    """Every part of a batch's gradient, or a stack's, but the first-layer weights'.
 
-    Writes the mean cross-entropy gradient of b1, W2 and b2 into those
-    `grads` views and returns (d_hidden, shifted logits, softmax row
-    sums), d_hidden being the gradient at the hidden pre-activations, one
-    row per batch row. Only `grads` and arrays made here are written; the
+    `layers` are the (W1, b1, W2, b2) views of the model. `hidden` holds
+    the first-layer product images @ W1 of one batch, (n, hidden), or of
+    a stack of k batches of the same size, (k, n, hidden); `labels` has
+    its shape but the last axis. Writes each batch's mean cross-entropy
+    gradient of b1, W2 and b2, which follow W1 in the flat layout, into
+    `rest`, a vector or one row per batch, and returns (d_hidden, shifted
+    logits, softmax row sums) in `hidden`'s shape; d_hidden is the
+    gradient at the hidden pre-activations, one row per batch row.
+
+    Every product of a stack is a stacked matmul, which makes for each
+    batch the call it makes for that batch alone, and every elementwise
+    op and reduction runs along each batch's own rows. So each batch's
+    results have the bits it gets alone. `hidden` is overwritten with
+    1 - sigmoid; only it, `rest` and arrays made here are written. The
     caller ignores overflow, as for `_forward`.
     """
-    n = len(labels)
-    _, _, w2, _ = layers
-    _, gb1, g2, gb2 = grads
-    hidden, shifted, d_logits, sums = _pass(layers, images)
-    d_logits[np.arange(n), labels] -= 1.0
+    _, b1, w2, b2 = layers
+    *stack, n, h = hidden.shape
+    o = len(b2)
+    hidden += b1
+    _sigmoid(hidden)
+    shifted = hidden @ w2
+    shifted += b2
+    shifted -= shifted.max(axis=-1, keepdims=True)
+    d_logits = np.exp(shifted)
+    sums = d_logits.sum(axis=-1, keepdims=True)
+    d_logits /= sums
+    d_logits.reshape(-1, o)[np.arange(labels.size), labels.ravel()] -= 1.0
     d_logits /= n
-    _product(n)(hidden.T, d_logits, out=g2)
-    d_logits.sum(axis=0, out=gb2)
+    # a one-row batch's product is an exact outer product, which matmul
+    # computes without BLAS, with the bits np.dot gives it
+    g2 = rest[..., h : h + h * o].reshape(*stack, h, o)
+    np.matmul(hidden.swapaxes(-1, -2), d_logits, out=g2)
+    d_logits.sum(axis=-2, out=rest[..., h + h * o :])
     d_hidden = d_logits @ w2.T
     d_hidden *= hidden
     np.subtract(1.0, hidden, out=hidden)
     d_hidden *= hidden
-    d_hidden.sum(axis=0, out=gb1)
+    d_hidden.sum(axis=-2, out=rest[..., :h])
     return d_hidden, shifted, sums
 
 
-def _product(rows: int):
-    """The product for a transposed batch-sized operand.
+def _first_layer(images: np.ndarray, d_hidden: np.ndarray, g1: np.ndarray) -> None:
+    """Write the first-layer weight gradient images.T @ d_hidden into g1.
 
     For a one-row batch, matmul sends the (dim, 1) transposed view, whose
     size-1 axis has a row-sized stride, through its slow non-BLAS loop;
     np.dot does not, and a product without a sum is exact either way.
     """
-    return np.dot if rows == 1 else np.matmul
+    (np.dot if len(d_hidden) == 1 else np.matmul)(images.T, d_hidden, out=g1)
 
 
-def _first_layer(images: np.ndarray, d_hidden: np.ndarray, g1: np.ndarray) -> None:
-    """Write the first-layer weight gradient images.T @ d_hidden into g1."""
-    _product(len(d_hidden))(images.T, d_hidden, out=g1)
+def _gradient(layers, images: np.ndarray, labels: np.ndarray, g: np.ndarray):
+    """Write the batch's mean cross-entropy gradient into g, in the flat layout.
 
-
-def _gradient(
-    layers, images: np.ndarray, labels: np.ndarray, grads
-) -> tuple[np.ndarray, np.ndarray]:
-    """Write the batch's mean cross-entropy gradient into the `grads` views.
-
-    `layers` and `grads` are `_views` of the model and of the gradient
-    vector. Returns the forward pass's shifted logits and softmax row
-    sums, from which the loss follows.
+    `layers` are `_views` of the model. Returns the forward pass's shifted
+    logits and softmax row sums, from which the loss follows.
     """
-    d_hidden, shifted, sums = _backprop(layers, images, labels, grads)
-    _first_layer(images, d_hidden, grads[0])
+    w1 = layers[0]
+    d_hidden, shifted, sums = _backprop(layers, images @ w1, labels, g[w1.size :])
+    _first_layer(images, d_hidden, g[: w1.size].reshape(w1.shape))
     return shifted, sums
+
+
+def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The indices starts[j] .. starts[j] + sizes[j] - 1, range after range."""
+    offsets = np.cumsum(sizes) - sizes
+    return np.arange(sizes.sum()) + np.repeat(starts - offsets, sizes)
 
 
 def takes_one_step(rows: int, cfg: ScenarioConfig) -> bool:
@@ -190,33 +220,30 @@ class FirstSteps:
     Any other slot holds what the update's first step computes before its
     first-layer weight gradient: d_hidden (one row per row of the first
     batch; a kept slot has none) and the gradient of b1, W2 and b2, which
-    sit after W1 in the flat layout. The first step to use the slot, lent
-    to `local_update`, fills it; later ones read it and compute only
-    images.T @ d_hidden, the same product from the same operands, so
-    their bits are the same.
+    sit after W1 in the flat layout. The first update to use a slot fills
+    it and marks it `filled`: a `local_update` lent the slot runs its
+    first batch's `_backprop` into it, and `one_step_mean` `fill`s every
+    unfilled slot of a merge from one stacked `_backprop` per shard size,
+    which gives each batch the bits it gets alone. Later updates read the
+    slot and compute only images.T @ d_hidden, the same product from the
+    same operands, so their bits are the same whichever path filled it.
 
     A slot is only correct for MODEL_DTYPE updates that share a start
     model, shard, first batch and, for a kept one, training stream; the
     owner of the storage keeps it to those. Both first-step arrays are
     allocated once, uninitialized, for all slots.
-
-    An update that takes a single SGD step may also be merged with
-    others by `one_step_mean`, which fills or reads its slot through
-    `backprop` and scales copies of what it holds, never the slot. So a
-    slot holds the same bytes whichever path fills it, and a later
-    `local_update` from the same model replays it bit for bit.
     """
 
-    def __init__(self, sizes: list[int], cfg: ScenarioConfig, arch: MlpArch) -> None:
+    def __init__(self, sizes: Sequence[int], cfg: ScenarioConfig, arch: MlpArch) -> None:
         self.kept = [
             not takes_one_step(n, cfg) and arch.param_count <= n * arch.in_dim for n in sizes
         ]
         rows = [0 if kept else min(n, cfg.batch_size) for n, kept in zip(sizes, self.kept)]
-        self._bounds = list(accumulate(rows, initial=0))
-        self._split = arch.in_dim * arch.hidden
+        self._bounds = np.cumsum([0, *rows])
         self.d_hidden = np.empty((self._bounds[-1], arch.hidden), MODEL_DTYPE)
-        self.rest = np.empty((len(sizes), arch.param_count - self._split), MODEL_DTYPE)
-        self.filled = [False] * len(sizes)
+        rest = arch.param_count - arch.in_dim * arch.hidden
+        self.rest = np.empty((len(sizes), rest), MODEL_DTYPE)
+        self.filled = np.zeros(len(sizes), dtype=bool)
         self.uploads: dict[int, np.ndarray] = {}
 
     def keep(self, k: int, w: np.ndarray) -> np.ndarray:
@@ -226,24 +253,25 @@ class FirstSteps:
             self.uploads[k] = w
         return w
 
-    def backprop(self, k: int, layers, images, labels, g: np.ndarray, grads) -> np.ndarray:
-        """`_backprop` of slot k's first batch into g, whose views are `grads`.
+    def rows(self, slots: np.ndarray) -> np.ndarray:
+        """The indices of the `slots`' d_hidden rows, slot after slot."""
+        return _ranges(self._bounds[slots], self._bounds[slots + 1] - self._bounds[slots])
 
-        Returns the slot's d_hidden rows, which the caller must not write.
-        """
+    def fill(self, slots: np.ndarray, d_hidden: np.ndarray, rest: np.ndarray) -> None:
+        """Store a stacked `_backprop` of the `slots`' first batches: its d_hidden and `rest`."""
+        self.d_hidden[self.rows(slots)] = d_hidden.reshape(-1, d_hidden.shape[-1])
+        self.rest[slots] = rest
+        self.filled[slots] = True
+
+    def gradient(self, k: int, layers, images, labels, g: np.ndarray) -> None:
+        """`_gradient` of slot k's first batch into g, filling the slot first if it is not."""
+        w1 = layers[0]
         d_hidden = self.d_hidden[self._bounds[k] : self._bounds[k + 1]]
-        rest = g[self._split :]
-        if self.filled[k]:
-            np.copyto(rest, self.rest[k])
-        else:
-            d_hidden[...] = _backprop(layers, images, labels, grads)[0]
-            self.rest[k] = rest
+        if not self.filled[k]:
+            d_hidden[...] = _backprop(layers, images @ w1, labels, self.rest[k])[0]
             self.filled[k] = True
-        return d_hidden
-
-    def gradient(self, k: int, layers, images, labels, g: np.ndarray, grads) -> None:
-        """`_gradient` of slot k's first batch into g, whose views are `grads`."""
-        _first_layer(images, self.backprop(k, layers, images, labels, g, grads), grads[0])
+        g[w1.size :] = self.rest[k]
+        _first_layer(images, d_hidden, g[: w1.size].reshape(w1.shape))
 
 
 def loss_and_gradient(
@@ -254,7 +282,7 @@ def loss_and_gradient(
         raise ValueError("empty batch")
     g = np.empty_like(w)
     with np.errstate(over="ignore"):
-        shifted, sums = _gradient(_views(w, arch), images, labels, _views(g, arch))
+        shifted, sums = _gradient(_views(w, arch), images, labels, g)
     return _mean_cross_entropy(shifted, sums, labels), g
 
 
@@ -296,7 +324,7 @@ def local_update(
         raise ValueError("empty shard")
     g = np.empty_like(w_in) if work is None else work
     w = np.empty_like(w_in)
-    grads, layers = _views(g, arch), _views(w, arch)
+    layers = _views(w, arch)
     src, src_layers = w_in, _views(w_in, arch)  # the first step reads w_in, later ones w
     size = cfg.batch_size
     with np.errstate(over="ignore"):  # see _forward
@@ -309,10 +337,10 @@ def local_update(
                 batches = ((images[idx], labels[idx]) for idx in slices)
             for batch_images, batch_labels in batches:
                 if first_step is None:
-                    _gradient(src_layers, batch_images, batch_labels, grads)
+                    _gradient(src_layers, batch_images, batch_labels, g)
                 else:
                     store, slot = first_step
-                    store.gradient(slot, src_layers, batch_images, batch_labels, g, grads)
+                    store.gradient(slot, src_layers, batch_images, batch_labels, g)
                     first_step = None
                 np.multiply(g, cfg.learning_rate, out=g)
                 np.subtract(src, g, out=w)
@@ -323,56 +351,86 @@ def local_update(
 def one_step_mean(
     w_in: np.ndarray,
     images: np.ndarray,
-    shards: Sequence[tuple[int, int, np.ndarray, float]],
+    labels: np.ndarray,
+    starts: np.ndarray,
+    sizes: np.ndarray,
     learning_rate: float,
     arch: MlpArch = MlpArch(),
     *,
     work: np.ndarray | None = None,
-    first_steps: FirstSteps | None = None,
+    first_steps: tuple[FirstSteps, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """The weighted mean of one-step updates from w_in, taken as one step.
+    """The size-weighted mean of one-step updates from w_in, taken as one step.
 
-    Each shard is (slot, start, labels, weight): its rows are
-    images[start : start + len(labels)], no two shards share a row, there
-    is at least one shard, and the weights sum to 1. Each shard's update
-    is one full-batch SGD step from w_in (see `takes_one_step`), so their
-    weighted mean is one step on the weighted mean gradient (FedSGD):
+    Shard j is rows starts[j] : starts[j] + sizes[j] of `images` and of
+    `labels`; there is at least one shard and no two share a row. Each
+    shard's update is one full-batch SGD step from w_in (see
+    `takes_one_step`), so their mean under weights a_j = sizes[j] /
+    sum(sizes) is one step on the weighted mean gradient (FedSGD):
 
-        sum_u a_u * (w_in - lr * g_u) = w_in - lr * sum_u a_u * g_u.
+        sum_j a_j * (w_in - lr * g_j) = w_in - lr * sum_j a_j * g_j.
 
-    Each shard still runs its own forward and backward pass up to
-    d_hidden and the gradient of b1, W2 and b2. Those are scaled by
-    lr * a_u and summed: the d_hidden rows into one array aligned with
-    the rows from the first shard's first to the last shard's last (zero
-    in rows of no shard), so that the first-layer weight gradient is a
-    single product of those rows, transposed, with that array. The result
+    The shards' forward and backward passes up to d_hidden and the
+    gradient of b1, W2 and b2 run as one stacked `_backprop` per shard
+    size, each shard's first-layer product written straight into the
+    stack (one product over a view of the rows when the size's shards
+    are adjacent). Each shard's d_hidden rows, times lr * a_j in w_in's
+    dtype, go into one array aligned with the rows from the lowest shard
+    row to the highest (zero in rows of no shard), so that the
+    first-layer weight gradient is a single product of those rows,
+    transposed, with that array; the b1, W2 and b2 gradient is the sum of
+    the shards' gradients times lr * a_j, in shard order. The result
     agrees with the mean of the shards' `local_update`s up to float
     rounding.
 
-    With `first_steps`, each shard's backward pass goes through its
-    `slot` there (see FirstSteps.backprop), which it fills or replays;
-    the slot must not be kept. `work` is a gradient scratch vector, as
-    for `local_update`.
+    `first_steps`, a (FirstSteps, slots) pair, lends shard j the store's
+    slot slots[j], which must not be kept: a filled slot is read instead
+    of running the shard's pass, and the others are filled from it (see
+    FirstSteps). `work` is a gradient scratch vector, as for
+    `local_update`.
     """
-    lo = min(start for _, start, _, _ in shards)
-    hi = max(start + len(labels) for _, start, labels, _ in shards)
-    split = arch.in_dim * arch.hidden
-    g = np.empty_like(w_in) if work is None else work
-    grads, layers = _views(g, arch), _views(w_in, arch)
-    d_hidden = np.zeros((hi - lo, arch.hidden), w_in.dtype)
-    rest = np.zeros_like(g[split:])
+    starts, sizes = np.asarray(starts), np.asarray(sizes)
+    layers = _views(w_in, arch)
+    w1 = layers[0]
+    scale = (learning_rate * (sizes / sizes.sum())).astype(w_in.dtype)
+    lo, hi = starts.min(), (starts + sizes).max()
+    d_rows = np.zeros((hi - lo, arch.hidden), w_in.dtype)
+    rest = np.empty((len(sizes), arch.param_count - w1.size), w_in.dtype)
+    todo = np.arange(len(sizes))
+    if first_steps is not None:
+        store, slots = first_steps
+        slots = np.asarray(slots)
+        done = store.filled[slots]
+        read = np.flatnonzero(done)
+        scaled = store.d_hidden[store.rows(slots[read])]
+        scaled *= np.repeat(scale[read], sizes[read])[:, None]
+        d_rows[_ranges(starts[read] - lo, sizes[read])] = scaled
+        rest[read] = store.rest[slots[read]]
+        todo = todo[~done]
+    todo = todo[np.lexsort((starts[todo], sizes[todo]))]  # by size, then by first row
+    edges = np.flatnonzero(np.diff(sizes[todo], prepend=0, append=0)).tolist()
     with np.errstate(over="ignore"):  # see _forward
-        for slot, start, labels, weight in shards:
-            rows = slice(start, start + len(labels))
-            if first_steps is None:
-                d = _backprop(layers, images[rows], labels, grads)[0]
+        for group in (todo[a:b] for a, b in zip(edges, edges[1:])):
+            n, first = int(sizes[group[0]]), starts[group]
+            hidden = np.empty((len(group), n, arch.hidden), w_in.dtype)
+            if (np.diff(first) == n).all():
+                batches = images[first[0] : first[0] + len(group) * n]
+                np.matmul(batches.reshape(len(group), n, arch.in_dim), w1, out=hidden)
             else:
-                d = first_steps.backprop(slot, layers, images[rows], labels, g, grads)
-            scale = learning_rate * weight
-            np.multiply(d, scale, out=d_hidden[start - lo : start - lo + len(labels)])
-            rest += np.multiply(g[split:], scale, out=g[split:])
-    g[split:] = rest
-    _first_layer(images[lo:hi], d_hidden, grads[0])
+                for j, start in enumerate(first.tolist()):
+                    np.matmul(images[start : start + n], w1, out=hidden[j])
+            group_rest = np.empty((len(group), rest.shape[1]), w_in.dtype)
+            rows = first[:, None] + np.arange(n)
+            d_hidden = _backprop(layers, hidden, labels[rows], group_rest)[0]
+            if first_steps is not None:
+                store.fill(slots[group], d_hidden, group_rest)
+            rest[group] = group_rest
+            d_hidden *= scale[group][:, None, None]
+            d_rows[rows - lo] = d_hidden
+    g = np.empty_like(w_in) if work is None else work
+    rest *= scale[:, None]
+    rest.sum(axis=0, out=g[w1.size :])
+    _first_layer(images[lo:hi], d_rows, g[: w1.size].reshape(w1.shape))
     return np.subtract(w_in, g)
 
 

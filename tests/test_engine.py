@@ -33,6 +33,7 @@ from ttfedsim.engine import (
 from ttfedsim.learner import evaluate, init_params
 from ttfedsim.streams import TAG_INIT, TAG_PARTITION, TAG_TRAIN, derive_seed
 
+import reference
 from test_datagen import write_idx_images, write_idx_labels
 
 # small, fast, high-success scenario shared by the loop tests
@@ -382,7 +383,7 @@ class TestTtfedLoop:
         g = np.empty_like(w0)
         for u in users:
             with np.errstate(over="ignore"):
-                d, _, _ = learner._backprop(
+                d, _, _ = reference.backprop(
                     learner._views(w0, arch),
                     sc.shard_images[u],
                     sc.shard_labels[u],
@@ -719,25 +720,26 @@ class TestSharedScenario:
     def test_first_step_forward_runs_once_per_user(self, monkeypatch):
         sc = setup_scenario(SHARED)
         forward, first_steps = [], []
-        pass_, train_user = learner._pass, engine._train_user
+        backprop, train_user = learner._backprop, engine._train_user
 
-        def counted_pass(layers, images):
+        def counted_backprop(layers, hidden, labels, rest):
             if np.may_share_memory(layers[0], sc.initial_model):
-                forward.append(len(images))
-            return pass_(layers, images)
+                stack = hidden if hidden.ndim == 3 else hidden[None]  # one batch or a stack
+                forward.extend(len(batch) for batch in stack)
+            return backprop(layers, hidden, labels, rest)
 
         def counted_train_user(sc_, u, w_src, dispatch_idx, work=None):
             if dispatch_idx == 0:
                 first_steps.append(u)
             return train_user(sc_, u, w_src, dispatch_idx, work=work)
 
-        monkeypatch.setattr(learner, "_pass", counted_pass)
+        monkeypatch.setattr(learner, "_backprop", counted_backprop)
         monkeypatch.setattr(engine, "_train_user", counted_train_user)
         for name in ALGORITHMS:
             run(replace(SHARED, algorithm=name), scenario=sc)
         assert len(first_steps) > len(set(first_steps)) == SHARED.users
-        # one pass per user's first step, and one that scores the initial model
-        assert len(forward) == SHARED.users + 1
+        # one forward and backward pass per user's first step
+        assert len(forward) == SHARED.users
 
     def test_initial_model_is_scored_once(self, monkeypatch):
         scored = []
@@ -817,6 +819,7 @@ class TestSharedScenario:
         cfg = with_updates(KEEPING, local_epochs=local_epochs)
         sc = setup_scenario(cfg)
         owner = {id(labels): u for u, labels in enumerate(sc.shard_labels)}
+        starts_of = {start: u for u, start in enumerate(sc.row_start.tolist())}
         updates, streams, served = [], [], []
         local_update, substream = engine.local_update, engine.substream
         train_user, one_step_mean = engine._train_user, engine.one_step_mean
@@ -826,11 +829,10 @@ class TestSharedScenario:
                 updates.append(owner[id(labels)])
             return local_update(w_in, images, labels, *args, **kwargs)
 
-        def counted_mean(w_in, images, shards, *args, **kwargs):
-            shards = list(shards)
+        def counted_mean(w_in, images, labels, starts, *args, **kwargs):
             if w_in is sc.initial_model:
-                updates.extend(owner[id(labels)] for _, _, labels, _ in shards)
-            return one_step_mean(w_in, images, shards, *args, **kwargs)
+                updates.extend(starts_of[start] for start in starts.tolist())
+            return one_step_mean(w_in, images, labels, starts, *args, **kwargs)
 
         def counted_substream(seed, *key):
             if key[0] == TAG_TRAIN and key[2] == 0:
@@ -966,10 +968,9 @@ class TestTrainingStreams:
             shard_sizes.append(len(args[2]))
             return local_update(*args, **kwargs)
 
-        def counted_mean(w_in, images, shards, *args, **kwargs):
-            shards = list(shards)
-            shard_sizes.extend(len(labels) for _, _, labels, _ in shards)
-            return one_step_mean(w_in, images, shards, *args, **kwargs)
+        def counted_mean(w_in, images, labels, starts, sizes, *args, **kwargs):
+            shard_sizes.extend(sizes.tolist())
+            return one_step_mean(w_in, images, labels, starts, sizes, *args, **kwargs)
 
         monkeypatch.setattr(engine, "substream", counted_substream)
         monkeypatch.setattr(engine, "local_update", counted_update)

@@ -4,19 +4,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ttfedsim import learner
 from ttfedsim.config import ScenarioConfig
 from ttfedsim.learner import (
     MODEL_DTYPE,
     FirstSteps,
     MlpArch,
+    _backprop,
     _forward,
+    _views,
     evaluate,
     init_params,
     local_update,
     loss_and_gradient,
     one_step_mean,
 )
+
+import reference
 
 ARCH = MlpArch()
 
@@ -378,7 +385,7 @@ class TestFirstSteps:
         for _ in range(2):  # the first call fills the slot, the second replays it
             rng = np.random.default_rng(3)
             results.append(local_update(w, images, labels, cfg, rng, first_step=(store, 1)))
-            assert store.filled == [False, True, False]
+            assert store.filled.tolist() == [False, True, False]
         assert results[0].tobytes() == results[1].tobytes() == plain.tobytes()
 
     def test_a_filled_slot_is_what_the_replay_reads(self):
@@ -433,55 +440,167 @@ class TestFirstSteps:
         assert store.d_hidden.shape == (7 + 8, arch.hidden)  # slots 0 and 2 only
         rest = arch.param_count - arch.in_dim * arch.hidden
         assert store.rest.shape == (4, rest)  # a row per slot, kept or not
-        assert store.filled == [False] * 4 and store.uploads == {}
+        assert store.filled.tolist() == [False] * 4 and store.uploads == {}
+
+
+class TestStackedBackprop:
+    """A stack of same-size batches gives each batch the bits it gets alone."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("hidden", [4, 8, 50])
+    @given(
+        k=st.integers(1, 6),
+        n=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+        saturating=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_each_batch_has_its_own_bits(self, dtype, hidden, k, n, seed, saturating):
+        # n spans OpenBLAS's small-matrix threshold (25/26 rows) and the
+        # one-row batch, whose outer products np.dot and matmul compute alike
+        arch = MlpArch(hidden=hidden)
+        rng = np.random.default_rng(seed)
+        w = init_params(seed % 1000, arch).astype(dtype) * (40 if saturating else 1)
+        images = rng.uniform(0.0, 1.0, size=(k, n, arch.in_dim)).astype(dtype)
+        labels = rng.integers(0, arch.out_dim, size=(k, n))
+        layers = _views(w, arch)
+        split = arch.in_dim * arch.hidden
+        rest = np.empty((k, arch.param_count - split), dtype)
+        with np.errstate(over="ignore"):
+            stacked = _backprop(layers, np.matmul(images, layers[0]), labels, rest)
+            for j in range(k):
+                alone_rest = np.empty((1, rest.shape[1]), dtype)
+                alone = _backprop(
+                    layers, images[j : j + 1] @ layers[0], labels[j : j + 1], alone_rest
+                )
+                g = np.empty_like(w)
+                ref = reference.backprop(layers, images[j], labels[j], _views(g, arch))
+                for got, one, want in zip(stacked, alone, ref):
+                    assert got[j].tobytes() == one[0].tobytes() == want.tobytes()
+                assert rest[j].tobytes() == alone_rest[0].tobytes() == g[split:].tobytes()
 
 
 class TestOneStepMean:
     """Single-step updates from one model, merged as one step on their mean gradient."""
 
     SIZES = [7, 1, 12, 5]  # shards laid out in this order, with 3 rows of no shard after the second
+    STARTS = [0, 7, 11, 23]
 
     def case(self, dtype):
         arch = MlpArch(in_dim=16, hidden=6)
         rng = np.random.default_rng(50)
         images = rng.uniform(0.0, 1.0, size=(sum(self.SIZES) + 3, arch.in_dim)).astype(dtype)
-        starts = [0, 7, 11, 23]
-        shards = [
-            (k, start, rng.integers(0, arch.out_dim, size=n), n / sum(self.SIZES))
-            for k, (start, n) in enumerate(zip(starts, self.SIZES))
-        ]
+        labels = rng.integers(0, arch.out_dim, size=len(images))
         w = init_params(50, arch).astype(dtype)
         cfg = ScenarioConfig(learning_rate=0.7, batch_size=16)
         uploads = [
-            local_update(w, images[start : start + len(labels)], labels, cfg, None, arch)
-            for _, start, labels, _ in shards
+            local_update(w, images[start : start + n], labels[start : start + n], cfg, None, arch)
+            for start, n in zip(self.STARTS, self.SIZES)
         ]
-        mean = sum(weight * u.astype(np.float64) for (*_, weight), u in zip(shards, uploads))
-        return arch, images, shards, w, cfg, mean
+        weights = [n / sum(self.SIZES) for n in self.SIZES]
+        mean = sum(a * u.astype(np.float64) for a, u in zip(weights, uploads))
+        return arch, images, labels, w, cfg, mean
 
     def test_float64_is_the_weighted_mean_of_the_updates(self):
-        arch, images, shards, w, cfg, mean = self.case(np.float64)
-        merged = one_step_mean(w, images, shards, cfg.learning_rate, arch)
+        arch, images, labels, w, cfg, mean = self.case(np.float64)
+        merged = one_step_mean(w, images, labels, self.STARTS, self.SIZES, cfg.learning_rate, arch)
         np.testing.assert_allclose(merged, mean, rtol=0, atol=1e-14)
 
     def test_float32_within_rounding_and_the_same_with_a_store(self):
-        arch, images, shards, w, cfg, mean = self.case(MODEL_DTYPE)
-        merged = one_step_mean(w, images, shards, cfg.learning_rate, arch)
+        arch, images, labels, w, cfg, mean = self.case(MODEL_DTYPE)
+        args = (w, images, labels, self.STARTS, self.SIZES, cfg.learning_rate, arch)
+        merged = one_step_mean(*args)
         assert merged.dtype == MODEL_DTYPE
         assert np.abs(merged - mean).max() <= 4 * np.finfo(MODEL_DTYPE).eps * np.abs(mean).max()
         store = FirstSteps(self.SIZES, cfg, arch)
+        slots = np.arange(len(self.SIZES))
         for _ in range(2):  # the first call fills every slot, the second replays them
             work = np.empty_like(w)
-            stored = one_step_mean(
-                w, images, shards, cfg.learning_rate, arch, work=work, first_steps=store
-            )
+            stored = one_step_mean(*args, work=work, first_steps=(store, slots))
             assert all(store.filled) and stored.tobytes() == merged.tobytes()
         # the slots hold what a lone update fills them with
-        for k, start, labels, _ in shards:
+        for k, (start, n) in enumerate(zip(self.STARTS, self.SIZES)):
             alone = FirstSteps(self.SIZES, cfg, arch)
-            rows = images[start : start + len(labels)]
-            local_update(w, rows, labels, cfg, None, arch, first_step=(alone, k))
+            rows = slice(start, start + n)
+            local_update(w, images[rows], labels[rows], cfg, None, arch, first_step=(alone, k))
             assert alone.rest[k].tobytes() == store.rest[k].tobytes()
+            assert alone.d_hidden[alone.rows(slots[k : k + 1])].tobytes() == (
+                store.d_hidden[store.rows(slots[k : k + 1])].tobytes()
+            )
+
+    @pytest.mark.parametrize("hidden", [8, 50])
+    @given(
+        sizes=st.lists(st.sampled_from([1, 2, 3, 5, 25, 26, 32]), min_size=1, max_size=9),
+        data=st.data(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_the_per_shard_loop_bit_for_bit(self, hidden, sizes, data):
+        """Mixed sizes laid out in any order with gaps, with no store or a store
+        whose slots are in another order and partly filled already."""
+        arch = MlpArch(hidden=hidden)
+        count = len(sizes)
+        layout = data.draw(st.permutations(range(count)))  # shard layout[i] is the i-th in the rows
+        gaps = data.draw(st.lists(st.integers(0, 3), min_size=count, max_size=count))
+        starts, row = [0] * count, 0
+        for j, gap in zip(layout, gaps):
+            starts[j], row = row + gap, row + gap + sizes[j]
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        images = rng.uniform(0.0, 1.0, size=(row, arch.in_dim)).astype(MODEL_DTYPE)
+        labels = rng.integers(0, arch.out_dim, size=row)
+        w = init_params(seed % 1000, arch)
+        args = (images, labels, starts, sizes, 0.9, arch)
+        want = reference.one_step_mean(w, *args)
+        assert one_step_mean(w, *args).tobytes() == want.tobytes()
+        # shard j owns slot slots[j] of a store with one more slot
+        slots = np.array(data.draw(st.permutations(range(count + 1)))[:count])
+        store_sizes = [4] * (count + 1)
+        for j, slot in enumerate(slots):
+            store_sizes[slot] = sizes[j]
+        cfg = ScenarioConfig(learning_rate=0.9, batch_size=32)
+        store = FirstSteps(store_sizes, cfg, arch)
+        prefilled = data.draw(st.lists(st.booleans(), min_size=count, max_size=count))
+        for j in np.flatnonzero(prefilled):
+            rows = slice(starts[j], starts[j] + sizes[j])
+            slot = (store, slots[j])
+            local_update(w, images[rows], labels[rows], cfg, None, arch, first_step=slot)
+        for _ in range(2):  # fills the other slots, then replays them all
+            got = one_step_mean(w, *args, first_steps=(store, slots))
+            assert got.tobytes() == want.tobytes()
+            assert store.filled[slots].all() and store.filled.sum() == count
+
+    def test_one_stacked_pass_per_shard_size(self, monkeypatch):
+        arch = MlpArch(hidden=8)
+        sizes = [3, 5, 3, 1, 5, 3]
+        starts = [20, 0, 5, 30, 8, 14]  # size 3 at rows 5, 14 and 20; size 5 at 0 and 8
+        rng = np.random.default_rng(51)
+        images = rng.uniform(0.0, 1.0, size=(31, arch.in_dim)).astype(MODEL_DTYPE)
+        labels = rng.integers(0, arch.out_dim, size=31)
+        w = init_params(51, arch)
+        passes = []
+        backprop = learner._backprop
+
+        def counted(layers, hidden, labels, rest):
+            passes.append(hidden.shape[:2])
+            return backprop(layers, hidden, labels, rest)
+
+        monkeypatch.setattr(learner, "_backprop", counted)
+        args = (w, images, labels, starts, sizes, 0.5, arch)
+        merged = one_step_mean(*args)
+        assert sorted(passes) == [(1, 1), (2, 5), (3, 3)]
+        store = FirstSteps(sizes, ScenarioConfig(batch_size=8), arch)
+        slots = np.arange(len(sizes))
+        for expected in ([(1, 1), (2, 5), (3, 3)], []):  # filled, then fully replayed
+            passes.clear()
+            assert one_step_mean(*args, first_steps=(store, slots)).tobytes() == merged.tobytes()
+            assert sorted(passes) == expected
+        # a merge whose size-5 shards are filled runs only the other sizes
+        store = FirstSteps(sizes, ScenarioConfig(batch_size=8), arch)
+        fives = (store, slots[[1, 4]])
+        one_step_mean(w, images, labels, [0, 8], [5, 5], 0.5, arch, first_steps=fives)
+        passes.clear()
+        assert one_step_mean(*args, first_steps=(store, slots)).tobytes() == merged.tobytes()
+        assert sorted(passes) == [(1, 1), (3, 3)]
 
 
 class TestEvaluate:
