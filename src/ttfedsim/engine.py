@@ -17,10 +17,8 @@ a step on their size-weighted mean gradient (`learner.one_step_mean`,
 given the users' row starts and shard sizes). Their backward passes run
 as one stacked pass per shard size, each batch with the bits it gets
 alone, and their first-layer product runs once over the rows of their
-shards, which setup lays out in (tier, user) order. Merging them as one
-step moved the ttfed, fedavg and fedat trajectories by float32 rounding
-when it was introduced; stacking the passes moved no bit. fedasync
-trains every upload on its own.
+shards, which setup lays out in (tier, user) order. fedasync trains
+every upload on its own.
 The run keeps the model it dispatched to a cohort only while that cohort
 has another event within the budget.
 Schedule timing uses nominal link delays (mean fading, equal bandwidth
@@ -36,10 +34,11 @@ the first draw of its own (seed, TAG_CHANNEL, user, event index) stream,
 as `tests/test_streams.py` checks against numpy.
 Every run starts from the scenario's initial model with every user at
 dispatch 0, so the scenario holds what follows from that model alone:
-the model, its test score, and each user's first upload, in one slot per
-user of a `learner.FirstSteps`, which keeps the upload finished or only
-its first SGD step. Runs that share a scenario reuse them, and get the
-bytes a fresh scenario gives.
+the model, its test score, and the users' first uploads in a
+`learner.FirstSteps`, which runs every one-step user's step once, in one
+stacked pass per shard size, and keeps some multi-step uploads
+finished. Runs that share a scenario reuse them, and get the bytes a
+fresh scenario gives.
 All randomness comes from per-purpose sub-streams of the master seed, so
 trajectories are reproducible bit-for-bit regardless of execution order.
 """
@@ -180,10 +179,11 @@ class Scenario:
     Every run starts from `initial_model` with every user at dispatch 0,
     so what depends on that model alone is derived here once and shared
     by every run on the scenario: the model itself, its test score and
-    each user's first upload (`first_steps`), finished or as its first SGD
-    step, filled by the first run that trains the user. A scenario made
-    by `dataclasses.replace` derives all of these afresh, and they are
-    freed with the scenario.
+    the users' first uploads (`first_steps`): every one-step user's step,
+    run when a run first needs the store, and the kept multi-step
+    uploads, stored by the first run that trains them. A scenario made by
+    `dataclasses.replace` derives all of these afresh, and they are freed
+    with the scenario.
 
     The data arrays are read-only. The training rows are held once, in
     one array, `train_images`, in (tier, user) order: user u's shard is
@@ -229,7 +229,9 @@ class Scenario:
     @cached_property
     def first_steps(self) -> FirstSteps:
         """Slot u holds user u's first upload from the initial model (see FirstSteps)."""
-        return FirstSteps([len(labels) for labels in self.shard_labels], self.config, self.arch)
+        shards = (self.train_images, self.train_labels, self.row_start)
+        sizes = [len(labels) for labels in self.shard_labels]
+        return FirstSteps(self.initial_model, *shards, sizes, self.one_step, self.arch)
 
     @cached_property
     def one_step(self) -> list[bool]:
@@ -415,30 +417,29 @@ def setup_scenario(cfg: ScenarioConfig) -> Scenario:
     )
 
 
-def _train_user(
-    sc: Scenario, u: int, w_src: np.ndarray, dispatch_idx: int, work: np.ndarray | None = None
-) -> np.ndarray:
-    """User u's local model trained from w_src; `work` is local_update's gradient scratch.
+def _train_user(sc: Scenario, u: int, w_src: np.ndarray, dispatch_idx: int) -> np.ndarray:
+    """User u's local model trained from w_src.
 
     The shuffling stream is built only when the shard is larger than a
     batch, the only case in which local_update reads it. An update from
     the scenario's initial model at dispatch 0 is the same in every run,
-    so it goes through u's slot of `Scenario.first_steps`: a kept upload
-    is served with no training and no stream once the first run to train
-    u has stored it, and any other replays the first SGD step.
+    so it goes through u's slot of `Scenario.first_steps`: a one-step
+    upload is replayed from its stored step, and a kept upload is served
+    with no training and no stream once the first run to train u has
+    stored it.
     """
-    store = sc.first_steps
     first = dispatch_idx == 0 and w_src is sc.initial_model
-    if first and u in store.uploads:
-        return store.uploads[u]
+    if first:
+        store = sc.first_steps
+        if u in store.uploads:
+            return store.uploads[u]
+        if sc.one_step[u]:
+            return store.replay(u, sc.config.learning_rate)
     labels = sc.shard_labels[u]
     shuffled = sc.config.batch_size < len(labels)
     rng = substream(sc.config.seed, TAG_TRAIN, u, dispatch_idx) if shuffled else None
-    slot = (store, u) if first and not store.kept[u] else None
-    w = local_update(
-        w_src, sc.shard_images[u], labels, sc.config, rng, sc.arch, work=work, first_step=slot
-    )
-    return store.keep(u, w) if first else w
+    w = local_update(w_src, sc.shard_images[u], labels, sc.config, rng, sc.arch)
+    return sc.first_steps.keep(u, w) if first else w
 
 
 class _Training:
@@ -453,10 +454,9 @@ class _Training:
     def __init__(self, sc: Scenario, w: np.ndarray) -> None:
         self.sc = sc
         self.sent = dict.fromkeys(range(sc.config.users), (w, 0))
-        self.work = np.empty_like(w)  # gradient scratch shared by every local update
 
     def upload(self, u: int) -> Upload:
-        return float(self.sc.data_sizes[u]), _train_user(self.sc, u, *self.sent[u], work=self.work)
+        return float(self.sc.data_sizes[u]), _train_user(self.sc, u, *self.sent[u])
 
     def mean(self, users: list[int]) -> np.ndarray:
         """FedAvg of the uploads of `users`, ascending, who were all sent one model.
@@ -464,9 +464,10 @@ class _Training:
         The one-step users' uploads enter it first, as one upload of their
         total size: one SGD step from that model on their size-weighted
         mean gradient (`learner.one_step_mean`, given their shards' row
-        starts and sizes, and their slots of `Scenario.first_steps` when
-        the model is the initial one at dispatch 0). The other users'
-        uploads are trained and folded one at a time after it.
+        starts and sizes, which reads their steps from
+        `Scenario.first_steps` when the model is the initial one at
+        dispatch 0). The other users' uploads are trained and folded one
+        at a time after it.
         """
         sc = self.sc
         one = [u for u in users if sc.one_step[u]]
@@ -485,7 +486,6 @@ class _Training:
             sizes,
             sc.config.learning_rate,
             sc.arch,
-            work=self.work,
             first_steps=(sc.first_steps, one) if first else None,
         )
         return fedavg_aggregate(chain([(float(sizes.sum()), w)], uploads))

@@ -10,20 +10,17 @@ and casts nothing. The simulator stores models, and the images they are
 trained and scored on, as MODEL_DTYPE (float32); float64 models work the
 same way.
 
-Nothing here writes to a caller's model, images or labels. The only
-arrays written in place are ones made here (each result, and the
-activations of a pass) and the storage a caller of `local_update` may
-lend: the gradient scratch vector `work`, and `first_step`, a slot of
-`FirstSteps`, where updates that start from the same model on the same
-first batch keep all of that step's gradient work but the first-layer
-weight product. `FirstSteps` also states which such updates are worth
-keeping finished instead.
+Nothing here writes to a caller's model, images or labels; the only
+arrays written in place are ones made here (each result, the activations
+of a pass, and a `FirstSteps` store's slots).
 
 The backward pass, `_backprop`, takes a stack of same-size batches and
 gives each batch the bits it gets alone; `local_update` runs it on one
-batch at a time. `one_step_mean` merges single-step updates from one
-model as one step on their weighted mean gradient, with one stacked
-pass per shard size and one first-layer product over all their rows.
+batch at a time. Single-step updates from one model run as one stacked
+pass per shard size (`_one_step_passes`): `FirstSteps` stores that pass
+for many updates from the same start model, and `one_step_mean` merges
+such updates as one step on their weighted mean gradient, with one
+first-layer product over all their rows.
 """
 
 from __future__ import annotations
@@ -123,11 +120,6 @@ def _forward(w: np.ndarray, images: np.ndarray, arch: MlpArch):
     return hidden, shifted, probs, sums
 
 
-def _mean_cross_entropy(shifted: np.ndarray, sums: np.ndarray, labels: np.ndarray) -> float:
-    picked = shifted[np.arange(len(labels)), labels] - np.log(sums[:, 0])
-    return -float(picked.mean())
-
-
 def _backprop(layers, hidden: np.ndarray, labels: np.ndarray, rest: np.ndarray):
     """Every part of a batch's gradient, or a stack's, but the first-layer weights'.
 
@@ -183,22 +175,41 @@ def _first_layer(images: np.ndarray, d_hidden: np.ndarray, g1: np.ndarray) -> No
     (np.dot if len(d_hidden) == 1 else np.matmul)(images.T, d_hidden, out=g1)
 
 
-def _gradient(layers, images: np.ndarray, labels: np.ndarray, g: np.ndarray):
-    """Write the batch's mean cross-entropy gradient into g, in the flat layout.
-
-    `layers` are `_views` of the model. Returns the forward pass's shifted
-    logits and softmax row sums, from which the loss follows.
-    """
-    w1 = layers[0]
-    d_hidden, shifted, sums = _backprop(layers, images @ w1, labels, g[w1.size :])
-    _first_layer(images, d_hidden, g[: w1.size].reshape(w1.shape))
-    return shifted, sums
-
-
 def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """The indices starts[j] .. starts[j] + sizes[j] - 1, range after range."""
     offsets = np.cumsum(sizes) - sizes
     return np.arange(sizes.sum()) + np.repeat(starts - offsets, sizes)
+
+
+def _one_step_passes(layers, images: np.ndarray, labels: np.ndarray, starts, sizes):
+    """Each shard's full-batch `_backprop` from the model, as one stacked pass per shard size.
+
+    Shard j is rows starts[j] : starts[j] + sizes[j] of `images` and of
+    `labels`. For each size in turn, yields (shards, rows, d_hidden, rest):
+    the indices j of that size's shards, by first row; their rows of
+    `images`, one row of indices per shard; their d_hidden, (shards,
+    size, hidden); and their gradients of b1, W2 and b2, one row per
+    shard. Each shard's first-layer product is written straight into the
+    stack, as one product over a view of the rows when the size's shards
+    are adjacent. The caller ignores overflow, as for `_forward`.
+    """
+    w1 = layers[0]
+    in_dim, hidden = w1.shape
+    width = sum(part.size for part in layers[1:])
+    order = np.lexsort((starts, sizes))  # by size, then by first row
+    edges = np.flatnonzero(np.diff(sizes[order], prepend=0, append=0)).tolist()
+    for group in (order[a:b] for a, b in zip(edges, edges[1:])):
+        n, first = int(sizes[group[0]]), starts[group]
+        stack = np.empty((len(group), n, hidden), w1.dtype)
+        if (np.diff(first) == n).all():
+            batches = images[first[0] : first[0] + len(group) * n]
+            np.matmul(batches.reshape(len(group), n, in_dim), w1, out=stack)
+        else:
+            for j, start in enumerate(first.tolist()):
+                np.matmul(images[start : start + n], w1, out=stack[j])
+        rest = np.empty((len(group), width), w1.dtype)
+        rows = first[:, None] + np.arange(n)
+        yield group, rows, _backprop(layers, stack, labels[rows], rest)[0], rest
 
 
 def takes_one_step(rows: int, cfg: ScenarioConfig) -> bool:
@@ -207,83 +218,81 @@ def takes_one_step(rows: int, cfg: ScenarioConfig) -> bool:
 
 
 class FirstSteps:
-    """Storage for many updates' results from one start model, one slot each.
+    """Many users' updates from one start model, each computed at most once.
 
-    Slot k belongs to a `local_update` under `cfg` on a shard of
-    `sizes[k]` rows. `kept[k]` marks a slot that keeps the update's
-    finished result: the update takes more than one SGD step (a shard
-    larger than a batch, or more than one epoch) and the model is no
+    User k's update is a `local_update` from `w_in` on its shard, rows
+    starts[k] : starts[k] + sizes[k] of `images` and of `labels`, and
+    `one_step[k]` says whether it takes a single SGD step (see
+    `takes_one_step`).
+
+    Every one-step update's step is run when the store is made, as one
+    stacked `_backprop` per shard size (`_one_step_passes`), which gives
+    each shard the bits it gets alone. The store keeps what that step
+    computes before its first-layer weight gradient: d_hidden, one row per
+    shard row, and the gradient of b1, W2 and b2, which sit after W1 in
+    the flat layout, in `rest[k]`. `replay(k, learning_rate)` finishes
+    user k's update from them and `one_step_mean` merges several, each
+    with the same product from the same operands as a fresh pass.
+
+    `kept[k]` marks a multi-step update (a shard larger than a batch, or
+    more than one epoch) whose finished result is kept: the model is no
     larger than the shard (param_count <= rows * in_dim), so the kept
     results never take more bytes than the images they are trained on.
-    Its owner stores that result with `keep`, read-only, in `uploads[k]`.
+    Its owner trains it and stores it with `keep`, read-only, in
+    `uploads[k]`. Nothing of any other multi-step update is stored.
 
-    Any other slot holds what the update's first step computes before its
-    first-layer weight gradient: d_hidden (one row per row of the first
-    batch; a kept slot has none) and the gradient of b1, W2 and b2, which
-    sit after W1 in the flat layout. The first update to use a slot fills
-    it and marks it `filled`: a `local_update` lent the slot runs its
-    first batch's `_backprop` into it, and `one_step_mean` `fill`s every
-    unfilled slot of a merge from one stacked `_backprop` per shard size,
-    which gives each batch the bits it gets alone. Later updates read the
-    slot and compute only images.T @ d_hidden, the same product from the
-    same operands, so their bits are the same whichever path filled it.
-
-    A slot is only correct for MODEL_DTYPE updates that share a start
-    model, shard, first batch and, for a kept one, training stream; the
-    owner of the storage keeps it to those. Both first-step arrays are
-    allocated once, uninitialized, for all slots.
+    A store is only correct for updates that share its start model,
+    shards and, for a kept one, training stream; the owner keeps it to
+    those.
     """
 
-    def __init__(self, sizes: Sequence[int], cfg: ScenarioConfig, arch: MlpArch) -> None:
-        self.kept = [
-            not takes_one_step(n, cfg) and arch.param_count <= n * arch.in_dim for n in sizes
-        ]
-        rows = [0 if kept else min(n, cfg.batch_size) for n, kept in zip(sizes, self.kept)]
-        self._bounds = np.cumsum([0, *rows])
-        self.d_hidden = np.empty((self._bounds[-1], arch.hidden), MODEL_DTYPE)
-        rest = arch.param_count - arch.in_dim * arch.hidden
-        self.rest = np.empty((len(sizes), rest), MODEL_DTYPE)
-        self.filled = np.zeros(len(sizes), dtype=bool)
+    def __init__(
+        self,
+        w_in: np.ndarray,
+        images: np.ndarray,
+        labels: np.ndarray,
+        starts: np.ndarray,
+        sizes: np.ndarray,
+        one_step: Sequence[bool],
+        arch: MlpArch,
+    ) -> None:
+        starts, sizes = np.asarray(starts), np.asarray(sizes)
+        one_step = np.asarray(one_step, dtype=bool)
+        self.kept = (~one_step & (arch.param_count <= sizes * arch.in_dim)).tolist()
         self.uploads: dict[int, np.ndarray] = {}
+        self._w_in, self._images, self._starts, self._arch = w_in, images, starts, arch
+        self._bounds = np.concatenate([[0], np.cumsum(np.where(one_step, sizes, 0))])
+        self.d_hidden = np.empty((self._bounds[-1], arch.hidden), w_in.dtype)
+        layers = _views(w_in, arch)
+        self.rest = np.empty((len(sizes), arch.param_count - layers[0].size), w_in.dtype)
+        one = np.flatnonzero(one_step)
+        with np.errstate(over="ignore"):  # see _forward
+            passes = _one_step_passes(layers, images, labels, starts[one], sizes[one])
+            for group, _, d_hidden, rest in passes:
+                self.d_hidden[self.rows(one[group])] = d_hidden.reshape(-1, arch.hidden)
+                self.rest[one[group]] = rest
 
     def keep(self, k: int, w: np.ndarray) -> np.ndarray:
-        """w, slot k's update result; stored read-only in `uploads` if the slot is kept."""
+        """w, user k's update result; stored read-only in `uploads` if it is kept."""
         if self.kept[k]:
             w.flags.writeable = False
             self.uploads[k] = w
         return w
 
     def rows(self, slots: np.ndarray) -> np.ndarray:
-        """The indices of the `slots`' d_hidden rows, slot after slot."""
+        """The indices of the one-step `slots`' d_hidden rows, slot after slot."""
         return _ranges(self._bounds[slots], self._bounds[slots + 1] - self._bounds[slots])
 
-    def fill(self, slots: np.ndarray, d_hidden: np.ndarray, rest: np.ndarray) -> None:
-        """Store a stacked `_backprop` of the `slots`' first batches: its d_hidden and `rest`."""
-        self.d_hidden[self.rows(slots)] = d_hidden.reshape(-1, d_hidden.shape[-1])
-        self.rest[slots] = rest
-        self.filled[slots] = True
-
-    def gradient(self, k: int, layers, images, labels, g: np.ndarray) -> None:
-        """`_gradient` of slot k's first batch into g, filling the slot first if it is not."""
-        w1 = layers[0]
-        d_hidden = self.d_hidden[self._bounds[k] : self._bounds[k + 1]]
-        if not self.filled[k]:
-            d_hidden[...] = _backprop(layers, images @ w1, labels, self.rest[k])[0]
-            self.filled[k] = True
-        g[w1.size :] = self.rest[k]
-        _first_layer(images, d_hidden, g[: w1.size].reshape(w1.shape))
-
-
-def loss_and_gradient(
-    w: np.ndarray, images: np.ndarray, labels: np.ndarray, arch: MlpArch = MlpArch()
-) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy over the batch and its gradient in w's layout."""
-    if len(labels) == 0:
-        raise ValueError("empty batch")
-    g = np.empty_like(w)
-    with np.errstate(over="ignore"):
-        shifted, sums = _gradient(_views(w, arch), images, labels, g)
-    return _mean_cross_entropy(shifted, sums, labels), g
+    def replay(self, k: int, learning_rate: float) -> np.ndarray:
+        """One-step user k's update, finished as `local_update` finishes it, with its bits."""
+        a, b = self._bounds[k], self._bounds[k + 1]
+        start = self._starts[k]
+        g = np.empty_like(self._w_in)
+        w1_grad = _views(g, self._arch)[0]
+        g[w1_grad.size :] = self.rest[k]
+        _first_layer(self._images[start : start + b - a], self.d_hidden[a:b], w1_grad)
+        g *= learning_rate
+        return np.subtract(self._w_in, g)
 
 
 def local_update(
@@ -293,9 +302,6 @@ def local_update(
     cfg: ScenarioConfig,
     rng: np.random.Generator | None,
     arch: MlpArch = MlpArch(),
-    *,
-    work: np.ndarray | None = None,
-    first_step: tuple[FirstSteps, int] | None = None,
 ) -> np.ndarray:
     """cfg.local_epochs passes of mini-batch SGD starting from w_in.
 
@@ -307,25 +313,17 @@ def local_update(
     step w_in - lr * grad(w_in); the shuffle is skipped there so the
     single-step form holds bit-for-bit. `rng` is read only when
     batch_size < shard size, to shuffle each epoch, and may be None
-    otherwise.
-
-    `work`, a vector of w_in's length and dtype, holds each step's scaled
-    gradient; a caller that trains many models passes the same one every
-    time, so that no step allocates a parameter-sized array. Its contents
-    on return are undefined. Without it one is allocated per call. The
-    result is always a fresh array, never `work` or `w_in`.
-
-    `first_step`, a (FirstSteps, slot) pair whose slot is not kept, is
-    lent storage for the first step's gradient, which it fills or replays
-    (see FirstSteps); the result is the same with or without it.
+    otherwise. The result is always a fresh array, never `w_in`.
     """
     n = len(labels)
     if n == 0:
         raise ValueError("empty shard")
-    g = np.empty_like(w_in) if work is None else work
+    g = np.empty_like(w_in)  # each step's gradient, in the flat layout, then scaled by lr
     w = np.empty_like(w_in)
     layers = _views(w, arch)
     src, src_layers = w_in, _views(w_in, arch)  # the first step reads w_in, later ones w
+    split = arch.in_dim * arch.hidden
+    w1_grad = g[:split].reshape(arch.in_dim, arch.hidden)
     size = cfg.batch_size
     with np.errstate(over="ignore"):  # see _forward
         for _ in range(cfg.local_epochs):
@@ -336,12 +334,9 @@ def local_update(
                 slices = (order[start : start + size] for start in range(0, n, size))
                 batches = ((images[idx], labels[idx]) for idx in slices)
             for batch_images, batch_labels in batches:
-                if first_step is None:
-                    _gradient(src_layers, batch_images, batch_labels, g)
-                else:
-                    store, slot = first_step
-                    store.gradient(slot, src_layers, batch_images, batch_labels, g)
-                    first_step = None
+                hidden = batch_images @ src_layers[0]
+                d_hidden = _backprop(src_layers, hidden, batch_labels, g[split:])[0]
+                _first_layer(batch_images, d_hidden, w1_grad)
                 np.multiply(g, cfg.learning_rate, out=g)
                 np.subtract(src, g, out=w)
                 src, src_layers = w, layers
@@ -357,7 +352,6 @@ def one_step_mean(
     learning_rate: float,
     arch: MlpArch = MlpArch(),
     *,
-    work: np.ndarray | None = None,
     first_steps: tuple[FirstSteps, np.ndarray] | None = None,
 ) -> np.ndarray:
     """The size-weighted mean of one-step updates from w_in, taken as one step.
@@ -372,22 +366,19 @@ def one_step_mean(
 
     The shards' forward and backward passes up to d_hidden and the
     gradient of b1, W2 and b2 run as one stacked `_backprop` per shard
-    size, each shard's first-layer product written straight into the
-    stack (one product over a view of the rows when the size's shards
-    are adjacent). Each shard's d_hidden rows, times lr * a_j in w_in's
-    dtype, go into one array aligned with the rows from the lowest shard
-    row to the highest (zero in rows of no shard), so that the
-    first-layer weight gradient is a single product of those rows,
+    size (`_one_step_passes`). Each shard's d_hidden rows, times lr * a_j
+    in w_in's dtype, go into one array aligned with the rows from the
+    lowest shard row to the highest (zero in rows of no shard), so that
+    the first-layer weight gradient is a single product of those rows,
     transposed, with that array; the b1, W2 and b2 gradient is the sum of
     the shards' gradients times lr * a_j, in shard order. The result
     agrees with the mean of the shards' `local_update`s up to float
     rounding.
 
-    `first_steps`, a (FirstSteps, slots) pair, lends shard j the store's
-    slot slots[j], which must not be kept: a filled slot is read instead
-    of running the shard's pass, and the others are filled from it (see
-    FirstSteps). `work` is a gradient scratch vector, as for
-    `local_update`.
+    `first_steps`, a (FirstSteps, slots) pair of a store made from w_in,
+    `images` and `labels`, in which shard j is one-step slot slots[j],
+    reads every shard's pass from the store instead of running it, with
+    the same bits.
     """
     starts, sizes = np.asarray(starts), np.asarray(sizes)
     layers = _views(w_in, arch)
@@ -395,39 +386,21 @@ def one_step_mean(
     scale = (learning_rate * (sizes / sizes.sum())).astype(w_in.dtype)
     lo, hi = starts.min(), (starts + sizes).max()
     d_rows = np.zeros((hi - lo, arch.hidden), w_in.dtype)
-    rest = np.empty((len(sizes), arch.param_count - w1.size), w_in.dtype)
-    todo = np.arange(len(sizes))
-    if first_steps is not None:
+    if first_steps is None:
+        rest = np.empty((len(sizes), arch.param_count - w1.size), w_in.dtype)
+        passes = _one_step_passes(layers, images, labels, starts, sizes)
+        with np.errstate(over="ignore"):  # see _forward
+            for group, rows, d_hidden, group_rest in passes:
+                rest[group] = group_rest
+                d_hidden *= scale[group][:, None, None]
+                d_rows[rows - lo] = d_hidden
+    else:
         store, slots = first_steps
-        slots = np.asarray(slots)
-        done = store.filled[slots]
-        read = np.flatnonzero(done)
-        scaled = store.d_hidden[store.rows(slots[read])]
-        scaled *= np.repeat(scale[read], sizes[read])[:, None]
-        d_rows[_ranges(starts[read] - lo, sizes[read])] = scaled
-        rest[read] = store.rest[slots[read]]
-        todo = todo[~done]
-    todo = todo[np.lexsort((starts[todo], sizes[todo]))]  # by size, then by first row
-    edges = np.flatnonzero(np.diff(sizes[todo], prepend=0, append=0)).tolist()
-    with np.errstate(over="ignore"):  # see _forward
-        for group in (todo[a:b] for a, b in zip(edges, edges[1:])):
-            n, first = int(sizes[group[0]]), starts[group]
-            hidden = np.empty((len(group), n, arch.hidden), w_in.dtype)
-            if (np.diff(first) == n).all():
-                batches = images[first[0] : first[0] + len(group) * n]
-                np.matmul(batches.reshape(len(group), n, arch.in_dim), w1, out=hidden)
-            else:
-                for j, start in enumerate(first.tolist()):
-                    np.matmul(images[start : start + n], w1, out=hidden[j])
-            group_rest = np.empty((len(group), rest.shape[1]), w_in.dtype)
-            rows = first[:, None] + np.arange(n)
-            d_hidden = _backprop(layers, hidden, labels[rows], group_rest)[0]
-            if first_steps is not None:
-                store.fill(slots[group], d_hidden, group_rest)
-            rest[group] = group_rest
-            d_hidden *= scale[group][:, None, None]
-            d_rows[rows - lo] = d_hidden
-    g = np.empty_like(w_in) if work is None else work
+        scaled = store.d_hidden[store.rows(np.asarray(slots))]
+        scaled *= np.repeat(scale, sizes)[:, None]
+        d_rows[_ranges(starts - lo, sizes)] = scaled
+        rest = store.rest[slots]
+    g = np.empty_like(w_in)
     rest *= scale[:, None]
     rest.sum(axis=0, out=g[w1.size :])
     _first_layer(images[lo:hi], d_rows, g[: w1.size].reshape(w1.shape))
@@ -442,6 +415,6 @@ def evaluate(
     if n == 0:
         raise ValueError("empty test set")
     _, shifted, probs, sums = _forward(w, images, arch)
-    loss = _mean_cross_entropy(shifted, sums, labels)
+    picked = shifted[np.arange(n), labels] - np.log(sums[:, 0])
     accuracy = float((probs.argmax(axis=1) == labels).mean())
-    return accuracy, loss
+    return accuracy, -float(picked.mean())

@@ -1,7 +1,8 @@
-"""Per-batch references for the learner's stacked passes.
+"""Per-batch references for the learner's passes.
 
 `backprop` is the backward pass of one batch, written out step by step,
-and `one_step_mean` is the merge of one-step updates as one forward and
+and `loss_and_gradient` the batch's loss and whole gradient on top of
+it. `one_step_mean` is the merge of one-step updates as one forward and
 backward pass per shard, whose scaled d_hidden rows and b1/W2/b2
 gradients are added shard after shard. `learner._backprop` runs a stack
 of same-size batches and `learner.one_step_mean` one stacked pass per
@@ -45,6 +46,20 @@ def backprop(layers, images, labels, grads):
     d_hidden *= hidden
     d_hidden.sum(axis=0, out=gb1)
     return d_hidden, shifted, sums
+
+
+def loss_and_gradient(w, images, labels, arch=learner.MlpArch()):
+    """Mean cross-entropy over the batch and its gradient in w's layout."""
+    n = len(labels)
+    if n == 0:
+        raise ValueError("empty batch")
+    g = np.empty_like(w)
+    grads = learner._views(g, arch)
+    with np.errstate(over="ignore"):
+        d_hidden, shifted, sums = backprop(learner._views(w, arch), images, labels, grads)
+    learner._first_layer(images, d_hidden, grads[0])
+    picked = shifted[np.arange(n), labels] - np.log(sums[:, 0])
+    return -float(picked.mean()), g
 
 
 def one_step_mean(w_in, images, labels, starts, sizes, learning_rate, arch):

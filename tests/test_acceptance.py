@@ -28,9 +28,11 @@ from ttfedsim.bound import (
 )
 from ttfedsim.config import ScenarioConfig
 from ttfedsim.engine import count_comm, run, setup_scenario
-from ttfedsim.learner import MlpArch, init_params, loss_and_gradient
+from ttfedsim.learner import MlpArch, init_params
 from ttfedsim.numerics import bisect_root, lambert_w_minus1
 from ttfedsim.wireless import ChannelParams, comm_delay, fading_threshold, path_loss, stp
+
+from reference import loss_and_gradient
 
 NOISE_PSD = 3.9810717055349565e-21  # -174 dBm/Hz in W/Hz
 

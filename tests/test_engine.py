@@ -210,13 +210,14 @@ class TestModelDtype:
 
     @pytest.mark.parametrize("name", ["ttfed", "fedavg", "fedasync", "fedat"])
     def test_every_model_and_the_gradient_scratch(self, name, monkeypatch):
-        scratch, callers = [], set()
+        """Every global model, and every model trained or merged from a
+        gradient, is float32."""
+        trained = []
 
         def spy(train):
             def spied(*args, **kwargs):
-                scratch.append(kwargs["work"])
-                callers.add(train.__name__)
-                return train(*args, **kwargs)
+                trained.append(train(*args, **kwargs))
+                return trained[-1]
 
             return spied
 
@@ -225,10 +226,8 @@ class TestModelDtype:
         trace: list[np.ndarray] = []
         # a 34-row shard takes several steps; the others take one, merged as one
         run(toy_config(algorithm=name, users=10, zipf_eta=1.0, delta_t_frac=0.6), trace=trace)
-        assert len(callers) == (1 if name == "fedasync" else 2)
         assert trace and {w.dtype for w in trace} == {np.dtype(np.float32)}
-        assert scratch and all(work is scratch[0] for work in scratch)
-        assert scratch[0].dtype == np.float32
+        assert trained and {w.dtype for w in trained} == {np.dtype(np.float32)}
 
 
 def _swapped(n, i, j):
@@ -711,35 +710,43 @@ class TestSharedScenario:
             sc = setup_scenario(cfg)
             for name in order:
                 run(replace(cfg, algorithm=name), scenario=sc)
-            assert any(sc.first_steps.filled)
+            assert "first_steps" in vars(sc)  # the served run reads the store they made
             trace: list[np.ndarray] = []
             served = run(cfg, scenario=sc, trace=trace)
             assert served == fresh  # every EvalPoint and counter
             assert [w.tobytes() for w in trace] == [w.tobytes() for w in fresh_trace]
 
     def test_first_step_forward_runs_once_per_user(self, monkeypatch):
+        """A four-algorithm comparison runs one stacked pass from the initial
+        model per one-step shard size, and a replaced scenario runs them again."""
         sc = setup_scenario(SHARED)
-        forward, first_steps = [], []
+        scenarios = [sc, replace(sc)]
+        stacked, lone, first_steps = [], [], []
         backprop, train_user = learner._backprop, engine._train_user
 
         def counted_backprop(layers, hidden, labels, rest):
-            if np.may_share_memory(layers[0], sc.initial_model):
-                stack = hidden if hidden.ndim == 3 else hidden[None]  # one batch or a stack
-                forward.extend(len(batch) for batch in stack)
+            if any(np.may_share_memory(layers[0], s.initial_model) for s in scenarios):
+                (stacked if hidden.ndim == 3 else lone).append(hidden.shape[:-1])
             return backprop(layers, hidden, labels, rest)
 
-        def counted_train_user(sc_, u, w_src, dispatch_idx, work=None):
+        def counted_train_user(sc_, u, w_src, dispatch_idx):
             if dispatch_idx == 0:
                 first_steps.append(u)
-            return train_user(sc_, u, w_src, dispatch_idx, work=work)
+            return train_user(sc_, u, w_src, dispatch_idx)
 
         monkeypatch.setattr(learner, "_backprop", counted_backprop)
         monkeypatch.setattr(engine, "_train_user", counted_train_user)
-        for name in ALGORITHMS:
-            run(replace(SHARED, algorithm=name), scenario=sc)
+        # users 1-5 take one step on 20, 14, 10, 8 and 7 rows; user 0 takes two
+        sizes = [len(sc.shard_labels[u]) for u in range(SHARED.users) if sc.one_step[u]]
+        assert sorted(sizes) == [7, 8, 10, 14, 20]
+        for scenario in scenarios:
+            stacked.clear()
+            for name in ALGORITHMS:
+                run(replace(SHARED, algorithm=name), scenario=scenario)
+            assert sorted(stacked) == [(1, n) for n in sorted(sizes)]
         assert len(first_steps) > len(set(first_steps)) == SHARED.users
-        # one forward and backward pass per user's first step
-        assert len(forward) == SHARED.users
+        # the rest of the passes from the initial model are user 0's first batches
+        assert lone and set(lone) == {(SHARED.batch_size,)}
 
     def test_initial_model_is_scored_once(self, monkeypatch):
         scored = []
@@ -760,7 +767,7 @@ class TestSharedScenario:
         sc = setup_scenario(SHARED)
         run(SHARED, scenario=sc)
         sc2 = replace(sc, config=with_updates(SHARED, seed=8))
-        assert not any(sc2.first_steps.filled)
+        assert "first_steps" not in vars(sc2)
         assert sc2.initial_model.tobytes() != sc.initial_model.tobytes()
         assert not sc.initial_model.flags.writeable
 
@@ -774,9 +781,8 @@ class TestSharedScenario:
         sc = setup_scenario(cfg)
         tracemalloc.start()
         try:
-            work = np.empty_like(sc.initial_model)
             for u in range(cfg.users):
-                _train_user(sc, u, sc.initial_model, 0, work=work)
+                _train_user(sc, u, sc.initial_model, 0)
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -788,13 +794,13 @@ class TestSharedScenario:
             for u, n in enumerate(sizes)
             if cfg.batch_size < n and arch.param_count <= n * arch.in_dim
         ]
-        slots = [u for u in range(cfg.users) if u not in kept]
-        rows = sum(min(sizes[u], cfg.batch_size) for u in slots)
+        slots = [u for u in range(cfg.users) if sizes[u] <= cfg.batch_size]  # one step
+        rows = sum(sizes[u] for u in slots)
         rest = arch.param_count - arch.in_dim * arch.hidden
         store = (rows * arch.hidden + cfg.users * rest + len(kept) * arch.param_count) * 4
         assert held <= store + 2**20
         assert sorted(sc.first_steps.uploads) == kept and 0 < len(kept) < cfg.users
-        assert all(sc.first_steps.filled[u] for u in slots)
+        assert len(sc.first_steps.rows(np.array(slots))) == len(sc.first_steps.d_hidden) == rows
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     @pytest.mark.parametrize("local_epochs", [1, 2], ids=["1-epoch", "2-epochs"])
@@ -808,7 +814,7 @@ class TestSharedScenario:
             assert any(sc.first_steps.kept) and not all(sc.first_steps.kept)
             for name in order:
                 run(replace(cfg, algorithm=name), scenario=sc)
-            assert sc.first_steps.uploads and any(sc.first_steps.filled)
+            assert "first_steps" in vars(sc) and sc.first_steps.uploads
             trace: list[np.ndarray] = []
             served = run(cfg, scenario=sc, trace=trace)
             assert served == fresh  # every EvalPoint and counter
@@ -839,10 +845,10 @@ class TestSharedScenario:
                 streams.append(key[1])
             return substream(seed, *key)
 
-        def counted_train_user(sc_, u, w_src, dispatch_idx, work=None):
+        def counted_train_user(sc_, u, w_src, dispatch_idx):
             if dispatch_idx == 0 and sc_.first_steps.kept[u]:
                 served.append(u)
-            return train_user(sc_, u, w_src, dispatch_idx, work=work)
+            return train_user(sc_, u, w_src, dispatch_idx)
 
         monkeypatch.setattr(engine, "local_update", counted_update)
         monkeypatch.setattr(engine, "one_step_mean", counted_mean)
@@ -869,7 +875,7 @@ class TestSharedScenario:
         run(KEEPING, scenario=sc)
         assert sc.first_steps.uploads
         sc2 = replace(sc)
-        assert sc2.first_steps.uploads == {} and not any(sc2.first_steps.filled)
+        assert "first_steps" not in vars(sc2) and sc2.first_steps.uploads == {}
         run(KEEPING, scenario=sc2)
         assert sorted(sc2.first_steps.uploads) == sorted(sc.first_steps.uploads)
 
@@ -957,7 +963,7 @@ class TestTrainingStreams:
         """A training stream is built per upload whose shard exceeds a batch."""
         built, shard_sizes = [], []
         substream, local_update = engine.substream, engine.local_update
-        one_step_mean = engine.one_step_mean
+        one_step_mean, replay = engine.one_step_mean, learner.FirstSteps.replay
 
         def counted_substream(seed, *key):
             if key[0] == TAG_TRAIN:
@@ -972,9 +978,14 @@ class TestTrainingStreams:
             shard_sizes.extend(sizes.tolist())
             return one_step_mean(w_in, images, labels, starts, sizes, *args, **kwargs)
 
+        def counted_replay(store, k, learning_rate):
+            shard_sizes.append(len(store.rows(np.array([k]))))
+            return replay(store, k, learning_rate)
+
         monkeypatch.setattr(engine, "substream", counted_substream)
         monkeypatch.setattr(engine, "local_update", counted_update)
         monkeypatch.setattr(engine, "one_step_mean", counted_mean)
+        monkeypatch.setattr(learner.FirstSteps, "replay", counted_replay)
         # Zipf shards of 34, 17, 11, 9, 7, 6, 5, 4, 4 and 3 samples
         run(toy_config(algorithm=name, users=10, zipf_eta=1.0, batch_size=batch_size, rounds=3))
         assert max(shard_sizes) == 34 and min(shard_sizes) <= 8

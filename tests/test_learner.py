@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ttfedsim import learner
@@ -19,11 +19,12 @@ from ttfedsim.learner import (
     evaluate,
     init_params,
     local_update,
-    loss_and_gradient,
     one_step_mean,
+    takes_one_step,
 )
 
 import reference
+from reference import loss_and_gradient
 
 ARCH = MlpArch()
 
@@ -103,16 +104,6 @@ class TestModelDtype:
         loss64, grad64 = loss_and_gradient(init64(20), images.astype(np.float64), labels)
         assert loss == pytest.approx(loss64, rel=1e-5)
         np.testing.assert_allclose(grad, grad64, rtol=1e-3, atol=1e-6)
-
-    def test_local_update_and_its_scratch(self):
-        images, labels = self.batch32(30, 21)
-        w = init_params(21)
-        cfg = ScenarioConfig(learning_rate=0.05, local_epochs=2, batch_size=8)
-        work = np.empty_like(w)
-        plain = local_update(w, images, labels, cfg, np.random.default_rng(3))
-        lent = local_update(w, images, labels, cfg, np.random.default_rng(3), work=work)
-        assert plain.dtype == lent.dtype == work.dtype == np.float32
-        assert lent.tobytes() == plain.tobytes()
 
     def test_minibatches_match_hand_rolled_sgd(self):
         images, labels = self.batch32(30, 22)
@@ -314,8 +305,12 @@ class TestLocalUpdate:
     def test_minibatches_match_hand_rolled_sgd(self):
         images, labels = random_batch(30, 12)
         w = init64(12)
+        w_before, images_before = w.copy(), images.copy()
         cfg = ScenarioConfig(learning_rate=0.05, local_epochs=3, batch_size=8)
         out = local_update(w, images, labels, cfg, np.random.default_rng(5))
+        assert not np.shares_memory(out, w)
+        assert w.tobytes() == w_before.tobytes()
+        assert images.tobytes() == images_before.tobytes()
         rng = np.random.default_rng(5)
         expected = w
         for _ in range(3):
@@ -326,25 +321,11 @@ class TestLocalUpdate:
                 expected = expected - 0.05 * grad
         assert out.tobytes() == expected.tobytes()
 
-    def test_lent_scratch_changes_no_bits(self):
-        images, labels = random_batch(30, 13)
-        w = init64(13)
-        w_before, images_before = w.copy(), images.copy()
-        cfg = ScenarioConfig(learning_rate=0.05, local_epochs=3, batch_size=8)
-        work = np.empty_like(w)
-        plain = local_update(w, images, labels, cfg, np.random.default_rng(6))
-        lent = local_update(w, images, labels, cfg, np.random.default_rng(6), work=work)
-        assert lent.tobytes() == plain.tobytes()
-        assert not np.shares_memory(lent, work)
-        assert not np.shares_memory(lent, w)
-        assert w.tobytes() == w_before.tobytes()
-        assert images.tobytes() == images_before.tobytes()
-
     def test_full_batch_reads_no_stream(self):
         images, labels = random_batch(10, 14)
         w = init64(14)
         cfg = ScenarioConfig(learning_rate=0.05, local_epochs=2, batch_size=10)
-        out = local_update(w, images, labels, cfg, None, work=np.empty_like(w))
+        out = local_update(w, images, labels, cfg, None)
         expected = local_update(w, images, labels, cfg, np.random.default_rng(0))
         assert out.tobytes() == expected.tobytes()
 
@@ -366,37 +347,57 @@ class TestLocalUpdate:
             )
 
 
-class TestFirstSteps:
-    """A lent first-step slot is filled once, then replayed, with no bit moved."""
+def first_steps(sizes, cfg, arch=ARCH, seed=40):
+    """(store, w, images, labels, starts): a FirstSteps over random shards of
+    `sizes` rows, laid out one after another, from a model drawn by `seed`."""
+    rng = np.random.default_rng(seed)
+    images = rng.uniform(0.0, 1.0, size=(sum(sizes), arch.in_dim)).astype(MODEL_DTYPE)
+    labels = rng.integers(0, arch.out_dim, size=len(images))
+    w = init_params(seed % 1000, arch)
+    starts = np.cumsum([0, *sizes[:-1]])
+    one_step = [takes_one_step(n, cfg) for n in sizes]
+    return FirstSteps(w, images, labels, starts, sizes, one_step, arch), w, images, labels, starts
 
-    @pytest.mark.parametrize(
-        "n,batch_size,epochs",
-        [(30, 64, 1), (30, 8, 1), (30, 8, 2), (1, 8, 1), (33, 32, 3)],
-        ids=["full-batch", "shuffled", "shuffled-2-epochs", "one-row", "ragged-3-epochs"],
-    )
-    def test_filled_and_replayed_updates_match_plain_sgd(self, n, batch_size, epochs):
-        images, labels = random_batch(n, 40)
-        images = images.astype(MODEL_DTYPE)
-        w = init_params(40)
-        cfg = ScenarioConfig(learning_rate=0.05, local_epochs=epochs, batch_size=batch_size)
-        store = FirstSteps([5, n, 3], cfg, ARCH)  # this update owns slot 1
-        plain = local_update(w, images, labels, cfg, np.random.default_rng(3))
-        results = []
-        for _ in range(2):  # the first call fills the slot, the second replays it
-            rng = np.random.default_rng(3)
-            results.append(local_update(w, images, labels, cfg, rng, first_step=(store, 1)))
-            assert store.filled.tolist() == [False, True, False]
+
+class TestFirstSteps:
+    """A store runs each one-step update's step once and replays it with no bit moved."""
+
+    @pytest.mark.parametrize("n,batch_size", [(30, 64), (1, 8)], ids=["full-batch", "one-row"])
+    def test_filled_and_replayed_updates_match_plain_sgd(self, n, batch_size):
+        cfg = ScenarioConfig(learning_rate=0.05, batch_size=batch_size)
+        store, w, images, labels, starts = first_steps([5, n, 3], cfg)  # this update is slot 1
+        rows = slice(starts[1], starts[1] + n)
+        plain = local_update(w, images[rows], labels[rows], cfg, None)
+        results = [store.replay(1, cfg.learning_rate) for _ in range(2)]
+        assert results[0] is not results[1]
         assert results[0].tobytes() == results[1].tobytes() == plain.tobytes()
 
+    @pytest.mark.parametrize("hidden", [8, 50])
+    @given(
+        sizes=st.lists(st.integers(1, 40), min_size=1, max_size=4),
+        learning_rate=st.sampled_from([0.05, 0.9, 2.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(sizes=[1], learning_rate=0.9, seed=0)  # a one-row shard's np.dot product
+    @settings(max_examples=30, deadline=None)
+    def test_a_replayed_update_is_local_update_byte_for_byte(
+        self, hidden, sizes, learning_rate, seed
+    ):
+        # 1-40 rows span OpenBLAS's small-matrix threshold (25/26 rows)
+        arch = MlpArch(hidden=hidden)
+        cfg = ScenarioConfig(learning_rate=learning_rate, batch_size=40)
+        store, w, images, labels, starts = first_steps(sizes, cfg, arch, seed)
+        for k, (start, n) in enumerate(zip(starts.tolist(), sizes)):
+            rows = slice(start, start + n)
+            alone = local_update(w, images[rows], labels[rows], cfg, None, arch)
+            assert store.replay(k, learning_rate).tobytes() == alone.tobytes()
+
     def test_a_filled_slot_is_what_the_replay_reads(self):
-        images, labels = random_batch(20, 41)
-        images = images.astype(MODEL_DTYPE)
-        w = init_params(41)
         cfg = ScenarioConfig(learning_rate=0.5, batch_size=32)
-        store = FirstSteps([20], cfg, ARCH)
-        filled = local_update(w, images, labels, cfg, None, first_step=(store, 0))
+        store, w, *_ = first_steps([20], cfg, seed=41)
+        filled = store.replay(0, cfg.learning_rate)
         store.rest[0] = 0.0  # b1, W2 and b2 get no gradient; W1 still does
-        replayed = local_update(w, images, labels, cfg, None, first_step=(store, 0))
+        replayed = store.replay(0, cfg.learning_rate)
         split = ARCH.in_dim * ARCH.hidden
         assert replayed[:split].tobytes() == filled[:split].tobytes()
         assert replayed[split:].tobytes() == w[split:].tobytes() != filled[split:].tobytes()
@@ -431,16 +432,20 @@ class TestFirstSteps:
         self, arch, sizes, batch_size, epochs, kept
     ):
         cfg = ScenarioConfig(local_epochs=epochs, batch_size=batch_size)
-        assert FirstSteps(sizes, cfg, arch).kept == kept
+        assert first_steps(sizes, cfg, arch)[0].kept == kept
 
     def test_a_kept_slot_has_no_first_step_rows(self):
         arch = MlpArch(hidden=8)
-        store = FirstSteps([7, 41, 8, 9], ScenarioConfig(batch_size=8), arch)
+        store = first_steps([7, 41, 8, 9], ScenarioConfig(batch_size=8), arch)[0]
         assert store.kept == [False, True, False, True]
         assert store.d_hidden.shape == (7 + 8, arch.hidden)  # slots 0 and 2 only
         rest = arch.param_count - arch.in_dim * arch.hidden
         assert store.rest.shape == (4, rest)  # a row per slot, kept or not
-        assert store.filled.tolist() == [False] * 4 and store.uploads == {}
+        assert store.uploads == {}
+        # a multi-step update that is not kept has no rows either
+        store = first_steps([41, 50, 51, 3], ScenarioConfig(batch_size=32))[0]
+        assert store.kept == [False, False, True, False]
+        assert store.d_hidden.shape == (3, ARCH.hidden)
 
 
 class TestStackedBackprop:
@@ -512,21 +517,23 @@ class TestOneStepMean:
         merged = one_step_mean(*args)
         assert merged.dtype == MODEL_DTYPE
         assert np.abs(merged - mean).max() <= 4 * np.finfo(MODEL_DTYPE).eps * np.abs(mean).max()
-        store = FirstSteps(self.SIZES, cfg, arch)
+        one_step = [True] * len(self.SIZES)
+        store = FirstSteps(w, images, labels, self.STARTS, self.SIZES, one_step, arch)
         slots = np.arange(len(self.SIZES))
-        for _ in range(2):  # the first call fills every slot, the second replays them
-            work = np.empty_like(w)
-            stored = one_step_mean(*args, work=work, first_steps=(store, slots))
-            assert all(store.filled) and stored.tobytes() == merged.tobytes()
-        # the slots hold what a lone update fills them with
+        for _ in range(2):  # a merge reads the store and leaves it as it was
+            stored = one_step_mean(*args, first_steps=(store, slots))
+            assert stored.tobytes() == merged.tobytes()
+        # the slots hold what a lone pass computes, and replay a lone update
+        split = arch.in_dim * arch.hidden
         for k, (start, n) in enumerate(zip(self.STARTS, self.SIZES)):
-            alone = FirstSteps(self.SIZES, cfg, arch)
             rows = slice(start, start + n)
-            local_update(w, images[rows], labels[rows], cfg, None, arch, first_step=(alone, k))
-            assert alone.rest[k].tobytes() == store.rest[k].tobytes()
-            assert alone.d_hidden[alone.rows(slots[k : k + 1])].tobytes() == (
-                store.d_hidden[store.rows(slots[k : k + 1])].tobytes()
-            )
+            g = np.empty_like(w)
+            layers, grads = _views(w, arch), _views(g, arch)
+            d_hidden = reference.backprop(layers, images[rows], labels[rows], grads)[0]
+            assert store.rest[k].tobytes() == g[split:].tobytes()
+            assert store.d_hidden[store.rows(slots[k : k + 1])].tobytes() == d_hidden.tobytes()
+            alone = local_update(w, images[rows], labels[rows], cfg, None, arch)
+            assert store.replay(k, cfg.learning_rate).tobytes() == alone.tobytes()
 
     @pytest.mark.parametrize("hidden", [8, 50])
     @given(
@@ -536,7 +543,7 @@ class TestOneStepMean:
     @settings(max_examples=30, deadline=None)
     def test_the_per_shard_loop_bit_for_bit(self, hidden, sizes, data):
         """Mixed sizes laid out in any order with gaps, with no store or a store
-        whose slots are in another order and partly filled already."""
+        whose slots are in another order."""
         arch = MlpArch(hidden=hidden)
         count = len(sizes)
         layout = data.draw(st.permutations(range(count)))  # shard layout[i] is the i-th in the rows
@@ -552,22 +559,17 @@ class TestOneStepMean:
         args = (images, labels, starts, sizes, 0.9, arch)
         want = reference.one_step_mean(w, *args)
         assert one_step_mean(w, *args).tobytes() == want.tobytes()
-        # shard j owns slot slots[j] of a store with one more slot
+        # shard j owns slot slots[j] of a store with one more slot, a
+        # multi-step update's
         slots = np.array(data.draw(st.permutations(range(count + 1)))[:count])
-        store_sizes = [4] * (count + 1)
+        store_starts, store_sizes = [0] * (count + 1), [1] * (count + 1)
+        one_step = [False] * (count + 1)
         for j, slot in enumerate(slots):
-            store_sizes[slot] = sizes[j]
-        cfg = ScenarioConfig(learning_rate=0.9, batch_size=32)
-        store = FirstSteps(store_sizes, cfg, arch)
-        prefilled = data.draw(st.lists(st.booleans(), min_size=count, max_size=count))
-        for j in np.flatnonzero(prefilled):
-            rows = slice(starts[j], starts[j] + sizes[j])
-            slot = (store, slots[j])
-            local_update(w, images[rows], labels[rows], cfg, None, arch, first_step=slot)
-        for _ in range(2):  # fills the other slots, then replays them all
+            store_starts[slot], store_sizes[slot], one_step[slot] = starts[j], sizes[j], True
+        store = FirstSteps(w, images, labels, store_starts, store_sizes, one_step, arch)
+        for _ in range(2):  # a merge reads the store and leaves it as it was
             got = one_step_mean(w, *args, first_steps=(store, slots))
             assert got.tobytes() == want.tobytes()
-            assert store.filled[slots].all() and store.filled.sum() == count
 
     def test_one_stacked_pass_per_shard_size(self, monkeypatch):
         arch = MlpArch(hidden=8)
@@ -588,19 +590,13 @@ class TestOneStepMean:
         args = (w, images, labels, starts, sizes, 0.5, arch)
         merged = one_step_mean(*args)
         assert sorted(passes) == [(1, 1), (2, 5), (3, 3)]
-        store = FirstSteps(sizes, ScenarioConfig(batch_size=8), arch)
-        slots = np.arange(len(sizes))
-        for expected in ([(1, 1), (2, 5), (3, 3)], []):  # filled, then fully replayed
-            passes.clear()
-            assert one_step_mean(*args, first_steps=(store, slots)).tobytes() == merged.tobytes()
-            assert sorted(passes) == expected
-        # a merge whose size-5 shards are filled runs only the other sizes
-        store = FirstSteps(sizes, ScenarioConfig(batch_size=8), arch)
-        fives = (store, slots[[1, 4]])
-        one_step_mean(w, images, labels, [0, 8], [5, 5], 0.5, arch, first_steps=fives)
         passes.clear()
+        store = FirstSteps(w, images, labels, starts, sizes, [True] * len(sizes), arch)
+        assert sorted(passes) == [(1, 1), (2, 5), (3, 3)]
+        passes.clear()  # a merge from the store runs no pass
+        slots = np.arange(len(sizes))
         assert one_step_mean(*args, first_steps=(store, slots)).tobytes() == merged.tobytes()
-        assert sorted(passes) == [(1, 1), (3, 3)]
+        assert passes == []
 
 
 class TestEvaluate:
