@@ -252,7 +252,7 @@ class FirstSteps:
         images: np.ndarray,
         labels: np.ndarray,
         starts: np.ndarray,
-        sizes: np.ndarray,
+        sizes: Sequence[int],
         one_step: Sequence[bool],
         arch: MlpArch,
     ) -> None:

@@ -118,7 +118,7 @@ class TestModelDtype:
                 idx = order[start : start + 8]
                 _, grad = loss_and_gradient(expected, images[idx], labels[idx])
                 expected = expected - 0.05 * grad
-        assert expected.dtype == np.float32
+        assert out.dtype == expected.dtype == np.float32
         assert out.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize(("n", "batch_size"), [(1, 32), (33, 32)])
