@@ -16,14 +16,14 @@ import os
 import sys
 import tempfile
 import traceback
+from dataclasses import fields
 
 from . import __version__
 from .bound import BoundConstants, ConstantError, bound_table, check_conditions
 from .config import (
+    _PARSERS,
     ConfigError,
     ScenarioConfig,
-    _parse_opt_float,
-    _parse_targets,
     apply_overrides,
     load_config,
     parse_config_text,
@@ -264,18 +264,7 @@ def cmd_sweep(args) -> int:
 
 
 _BOUND_KEYS = {
-    "bound.smoothness": ("smoothness", float),
-    "bound.strong_convexity": ("strong_convexity", float),
-    "bound.grad_offset": ("grad_offset", float),
-    "bound.grad_slope": ("grad_slope", float),
-    "bound.drift_inner": ("drift_inner", float),
-    "bound.drift_norm": ("drift_norm", float),
-    "bound.local_ratio": ("local_ratio", float),
-    "bound.local_gap": ("local_gap", float),
-    "bound.initial_gap": ("initial_gap", float),
-    "bound.num_tiers": ("num_tiers", int),
-    "bound.median_const": ("median_const", _parse_opt_float),
-    "bound.failure_fractions": ("failure_fractions", _parse_targets),
+    **{f"bound.{f.name}": (f.name, _PARSERS[f.type]) for f in fields(BoundConstants)},
     # the K values of the table, not a constant
     "bound.round_values": ("round_values", lambda s: [int(x) for x in s.split(",")]),
 }
@@ -292,8 +281,7 @@ def load_bound_constants(path: str, overrides: list[str] | None = None) -> tuple
     try:
         constants = BoundConstants(**kwargs)
     except ConstantError as exc:
-        key = next(key for key, (attr, _) in _BOUND_KEYS.items() if attr == exc.field)
-        raise ConfigError(f"bound constants invalid: {key} {exc.reason}") from exc
+        raise ConfigError(f"bound constants invalid: bound.{exc.field} {exc.reason}") from exc
     except TypeError as exc:  # a constant without a default is missing
         raise ConfigError(f"bound constants invalid: {exc}") from exc
     return constants, rounds

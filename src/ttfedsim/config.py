@@ -4,13 +4,19 @@ The on-disk format is deliberately plain: one `section.key = value` pair
 per line, `#` comments, blank lines ignored. dB-valued keys carry a _db /
 _dbm suffix and are converted to linear units when the physical parameter
 objects are built, never stored converted.
+
+Each key is declared once, on its ScenarioConfig field (`_key`): its
+name, its default and its range. The key table the parser reads
+(`_KEYS`, with the parser chosen by the field's annotation) and
+`validate`'s range checks are derived from the fields; only the enums
+and the rules that span fields are written out.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .datagen import NUM_CLASSES
 from .wireless import ChannelParams
@@ -25,145 +31,113 @@ class ConfigError(ValueError):
     """Invalid or unknown configuration input; the message names the key."""
 
 
+def _key(key: str, default, *, low=None, positive=False, takes_inf=False):
+    """A ScenarioConfig field: its config key, its default and its range.
+
+    `low` is an inclusive lower bound and `positive` an exclusive one at
+    0. A float must be finite unless the field `takes_inf`. None, where
+    the annotation takes it, is in range.
+    """
+    meta = {"key": key, "low": low, "positive": positive, "takes_inf": takes_inf}
+    return field(default=default, metadata=meta)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
-    # sim.*
-    algorithm: str = "ttfed"
-    seed: int = 1
-    users: int = 20
-    radius_m: float = 600.0
-    delta_t_frac: float | None = 0.6  # fraction of the slowest user's cycle T
-    delta_t_s: float | None = None  # absolute interval; overrides the fraction
-    rounds: int = 300  # time budget = rounds * delta_t for every algorithm
-    time_budget_s: float | None = None
-    psi: float = 0.5
-    policy: str = "proposed"
-    scheduling_fading: str = "distribution"
-    greedy_skip: bool = False
-    eval_every: int = 1
-    max_evals: int = 2000
-    accuracy_targets: tuple[float, ...] = (0.5, 0.6, 0.7, 0.8)
-    # channel.*
-    path_loss_exponent: float = 3.76
-    noise_psd_dbm_hz: float = -174.0
-    tx_power_w: float = 0.01
-    snr_threshold_db: float = 0.0
-    total_bandwidth_hz: float = 20e6
-    bits_per_param: int = 16
-    # compute.*
-    cpu_freq_hz: float = 1e9
-    cpu_freq_max_hz: float | None = None  # set -> uniform per-user draw
-    cycles_per_sample: float = 5e5
-    # data.*
-    data_source: str = "synthetic"
-    train_per_class: int = 250
-    test_per_class: int = 200
-    data_seed: int = 12345
-    zipf_eta: float = 0.0
-    dirichlet_theta: float = math.inf
-    train_images_path: str = ""
-    train_labels_path: str = ""
-    test_images_path: str = ""
-    test_labels_path: str = ""
-    # train.*
-    learning_rate: float = 0.01
-    local_epochs: int = 1
-    batch_size: int = 32
-    hidden_width: int = 50
+    algorithm: str = _key("sim.algorithm", "ttfed")
+    seed: int = _key("sim.seed", 1, low=0)
+    users: int = _key("sim.users", 20, low=1)
+    radius_m: float = _key("sim.radius_m", 600.0, positive=True)
+    # fraction of the slowest user's cycle T
+    delta_t_frac: float | None = _key("sim.delta_t_frac", 0.6, positive=True)
+    # absolute interval; overrides the fraction
+    delta_t_s: float | None = _key("sim.delta_t_s", None, positive=True)
+    # time budget = rounds * delta_t for every algorithm
+    rounds: int = _key("sim.rounds", 300, low=0)
+    time_budget_s: float | None = _key("sim.time_budget_s", None, low=0)
+    psi: float = _key("sim.psi", 0.5)
+    policy: str = _key("sim.policy", "proposed")
+    scheduling_fading: str = _key("sim.scheduling_fading", "distribution")
+    greedy_skip: bool = _key("sim.greedy_skip", False)
+    eval_every: int = _key("sim.eval_every", 1, low=1)
+    max_evals: int = _key("sim.max_evals", 2000, low=1)
+    accuracy_targets: tuple[float, ...] = _key("sim.accuracy_targets", (0.5, 0.6, 0.7, 0.8))
+    path_loss_exponent: float = _key("channel.path_loss_exponent", 3.76, low=2)
+    noise_psd_dbm_hz: float = _key("channel.noise_psd_dbm_hz", -174.0)
+    tx_power_w: float = _key("channel.tx_power_w", 0.01, positive=True)
+    snr_threshold_db: float = _key("channel.snr_threshold_db", 0.0)
+    total_bandwidth_hz: float = _key("channel.total_bandwidth_hz", 20e6, positive=True)
+    bits_per_param: int = _key("channel.bits_per_param", 16, low=1)
+    cpu_freq_hz: float = _key("compute.cpu_freq_hz", 1e9, positive=True)
+    # set -> uniform per-user draw
+    cpu_freq_max_hz: float | None = _key("compute.cpu_freq_max_hz", None)
+    cycles_per_sample: float = _key("compute.cycles_per_sample", 5e5, positive=True)
+    data_source: str = _key("data.source", "synthetic")
+    train_per_class: int = _key("data.train_per_class", 250, low=1)
+    test_per_class: int = _key("data.test_per_class", 200, low=1)
+    data_seed: int = _key("data.seed", 12345, low=0)
+    # the skews take inf as their limits
+    zipf_eta: float = _key("data.zipf_eta", 0.0, low=0, takes_inf=True)
+    dirichlet_theta: float = _key("data.dirichlet_theta", math.inf, low=0, takes_inf=True)
+    train_images_path: str = _key("data.train_images", "")
+    train_labels_path: str = _key("data.train_labels", "")
+    test_images_path: str = _key("data.test_images", "")
+    test_labels_path: str = _key("data.test_labels", "")
+    learning_rate: float = _key("train.learning_rate", 0.01, low=0)
+    local_epochs: int = _key("train.local_epochs", 1, low=1)
+    batch_size: int = _key("train.batch_size", 32, low=1)
+    hidden_width: int = _key("train.hidden_width", 50, low=1)
 
     def validate(self) -> None:
-        """Check every value's range; the only place that knows them.
+        """Check the enums, every field's declared range, then the cross-field rules.
 
         Each error names its config key, so a bad value stops before
         anything is built instead of failing later inside a layer.
         """
         if self.algorithm not in ALGORITHMS:
-            raise ConfigError(f"sim.algorithm: unknown algorithm {self.algorithm!r}")
+            raise _error("algorithm", f"unknown algorithm {self.algorithm!r}")
         if self.policy not in POLICIES:
-            raise ConfigError(f"sim.policy: unknown policy {self.policy!r}")
+            raise _error("policy", f"unknown policy {self.policy!r}")
         if self.scheduling_fading not in FADING_MODES:
-            raise ConfigError(f"sim.scheduling_fading: unknown mode {self.scheduling_fading!r}")
+            raise _error("scheduling_fading", f"unknown mode {self.scheduling_fading!r}")
         if self.data_source not in DATA_SOURCES:
-            raise ConfigError(f"data.source: unknown source {self.data_source!r}")
-        for key, value, low in (
-            ("sim.seed", self.seed, 0),
-            ("sim.users", self.users, 1),
-            ("sim.rounds", self.rounds, 0),
-            ("sim.eval_every", self.eval_every, 1),
-            ("sim.max_evals", self.max_evals, 1),
-            ("channel.path_loss_exponent", self.path_loss_exponent, 2),
-            ("channel.bits_per_param", self.bits_per_param, 1),
-            ("data.train_per_class", self.train_per_class, 1),
-            ("data.test_per_class", self.test_per_class, 1),
-            ("data.seed", self.data_seed, 0),
-            ("data.zipf_eta", self.zipf_eta, 0),
-            ("data.dirichlet_theta", self.dirichlet_theta, 0),
-            ("train.learning_rate", self.learning_rate, 0),
-            ("train.local_epochs", self.local_epochs, 1),
-            ("train.batch_size", self.batch_size, 1),
-            ("train.hidden_width", self.hidden_width, 1),
-        ):
-            if not value >= low:
-                raise ConfigError(f"{key}: must be >= {low}, got {value}")
-        for key, value in (
-            ("sim.radius_m", self.radius_m),
-            ("channel.tx_power_w", self.tx_power_w),
-            ("channel.total_bandwidth_hz", self.total_bandwidth_hz),
-            ("compute.cpu_freq_hz", self.cpu_freq_hz),
-            ("compute.cycles_per_sample", self.cycles_per_sample),
-        ):
-            if not value > 0:
-                raise ConfigError(f"{key}: must be positive, got {value}")
-        for key, value in (
-            ("sim.radius_m", self.radius_m),
-            ("sim.delta_t_frac", self.delta_t_frac),
-            ("sim.delta_t_s", self.delta_t_s),
-            ("sim.time_budget_s", self.time_budget_s),
-            ("channel.path_loss_exponent", self.path_loss_exponent),
-            ("channel.noise_psd_dbm_hz", self.noise_psd_dbm_hz),
-            ("channel.tx_power_w", self.tx_power_w),
-            ("channel.snr_threshold_db", self.snr_threshold_db),
-            ("channel.total_bandwidth_hz", self.total_bandwidth_hz),
-            ("compute.cpu_freq_hz", self.cpu_freq_hz),
-            ("compute.cpu_freq_max_hz", self.cpu_freq_max_hz),
-            ("compute.cycles_per_sample", self.cycles_per_sample),
-            ("train.learning_rate", self.learning_rate),
-        ):  # data.zipf_eta and data.dirichlet_theta take inf as their limits
-            if value is not None and not math.isfinite(value):
-                raise ConfigError(f"{key}: must be finite, got {value}")
+            raise _error("data_source", f"unknown source {self.data_source!r}")
+        for f in fields(self):
+            value, low = getattr(self, f.name), f.metadata["low"]
+            if value is None and f.type.endswith("| None"):
+                continue
+            if low is not None and not value >= low:
+                raise _error(f.name, f"must be >= {low}, got {value}")
+            if f.metadata["positive"] and not value > 0:
+                raise _error(f.name, f"must be positive, got {value}")
+            finite = f.type.startswith("float") and not f.metadata["takes_inf"]
+            if finite and not math.isfinite(value):
+                raise _error(f.name, f"must be finite, got {value}")
         train_size = NUM_CLASSES * self.train_per_class
         if self.users > train_size:
-            raise ConfigError(
-                f"sim.users: cannot give {self.users} users >= 1 sample from {train_size} "
-                f"({NUM_CLASSES} classes x data.train_per_class)"
+            raise _error(
+                "users",
+                f"cannot give {self.users} users >= 1 sample from {train_size} "
+                f"({NUM_CLASSES} classes x {_KEY_OF['train_per_class']})",
             )
         if self.delta_t_s is None and self.delta_t_frac is None:
-            raise ConfigError("sim.delta_t_s / sim.delta_t_frac: one must be set")
-        if self.delta_t_s is not None and not self.delta_t_s > 0:
-            raise ConfigError(f"sim.delta_t_s: must be positive, got {self.delta_t_s}")
-        if self.delta_t_frac is not None and not self.delta_t_frac > 0:
-            raise ConfigError(f"sim.delta_t_frac: must be positive, got {self.delta_t_frac}")
-        if self.time_budget_s is not None and not self.time_budget_s >= 0:
-            raise ConfigError(f"sim.time_budget_s: must be >= 0, got {self.time_budget_s}")
+            intervals = f"{_KEY_OF['delta_t_s']} / {_KEY_OF['delta_t_frac']}"
+            raise ConfigError(f"{intervals}: one must be set")
         if not 0.0 < self.psi < 1.0:
-            raise ConfigError(f"sim.psi: must lie in (0, 1), got {self.psi}")
+            raise _error("psi", f"must lie in (0, 1), got {self.psi}")
         for t in self.accuracy_targets:
             if not 0.0 <= t <= 1.0:
-                raise ConfigError(f"sim.accuracy_targets: target {t} outside [0, 1]")
+                raise _error("accuracy_targets", f"target {t} outside [0, 1]")
         if self.cpu_freq_max_hz is not None and not self.cpu_freq_max_hz >= self.cpu_freq_hz:
-            raise ConfigError(
-                "compute.cpu_freq_max_hz: must be >= compute.cpu_freq_hz "
-                f"({self.cpu_freq_max_hz} < {self.cpu_freq_hz})"
+            raise _error(
+                "cpu_freq_max_hz",
+                f"must be >= {_KEY_OF['cpu_freq_hz']} "
+                f"({self.cpu_freq_max_hz} < {self.cpu_freq_hz})",
             )
         if self.data_source == "idx":
-            for key, value in (
-                ("data.train_images", self.train_images_path),
-                ("data.train_labels", self.train_labels_path),
-                ("data.test_images", self.test_images_path),
-                ("data.test_labels", self.test_labels_path),
-            ):
-                if not value:
-                    raise ConfigError(f"{key}: required when data.source = idx")
+            for name in [f.name for f in fields(self) if f.name.endswith("_path")]:
+                if not getattr(self, name):
+                    raise _error(name, f"required when {_KEY_OF['data_source']} = idx")
 
     def channel_params(self, model_bits: float) -> ChannelParams:
         """Physical parameters with dB keys converted to linear units."""
@@ -231,47 +205,26 @@ def _format_value(value) -> str:
     return str(value)
 
 
-# config key -> (dataclass field, parser)
-_KEYS: dict[str, tuple[str, object]] = {
-    "sim.algorithm": ("algorithm", str),
-    "sim.seed": ("seed", int),
-    "sim.users": ("users", int),
-    "sim.radius_m": ("radius_m", float),
-    "sim.delta_t_frac": ("delta_t_frac", _parse_opt_float),
-    "sim.delta_t_s": ("delta_t_s", _parse_opt_float),
-    "sim.rounds": ("rounds", int),
-    "sim.time_budget_s": ("time_budget_s", _parse_opt_float),
-    "sim.psi": ("psi", float),
-    "sim.policy": ("policy", str),
-    "sim.scheduling_fading": ("scheduling_fading", str),
-    "sim.greedy_skip": ("greedy_skip", _parse_bool),
-    "sim.eval_every": ("eval_every", int),
-    "sim.max_evals": ("max_evals", int),
-    "sim.accuracy_targets": ("accuracy_targets", _parse_targets),
-    "channel.path_loss_exponent": ("path_loss_exponent", float),
-    "channel.noise_psd_dbm_hz": ("noise_psd_dbm_hz", float),
-    "channel.tx_power_w": ("tx_power_w", float),
-    "channel.snr_threshold_db": ("snr_threshold_db", float),
-    "channel.total_bandwidth_hz": ("total_bandwidth_hz", float),
-    "channel.bits_per_param": ("bits_per_param", int),
-    "compute.cpu_freq_hz": ("cpu_freq_hz", float),
-    "compute.cpu_freq_max_hz": ("cpu_freq_max_hz", _parse_opt_float),
-    "compute.cycles_per_sample": ("cycles_per_sample", float),
-    "data.source": ("data_source", str),
-    "data.train_per_class": ("train_per_class", int),
-    "data.test_per_class": ("test_per_class", int),
-    "data.seed": ("data_seed", int),
-    "data.zipf_eta": ("zipf_eta", float),
-    "data.dirichlet_theta": ("dirichlet_theta", float),
-    "data.train_images": ("train_images_path", str),
-    "data.train_labels": ("train_labels_path", str),
-    "data.test_images": ("test_images_path", str),
-    "data.test_labels": ("test_labels_path", str),
-    "train.learning_rate": ("learning_rate", float),
-    "train.local_epochs": ("local_epochs", int),
-    "train.batch_size": ("batch_size", int),
-    "train.hidden_width": ("hidden_width", int),
+# a field's parser, by its annotation; the annotations are strings, as
+# this module and bound.py postpone their evaluation
+_PARSERS = {
+    "str": str,
+    "int": int,
+    "float": float,
+    "float | None": _parse_opt_float,
+    "bool": _parse_bool,
+    "tuple[float, ...]": _parse_targets,
 }
+
+# dataclass field -> config key
+_KEY_OF = {f.name: f.metadata["key"] for f in fields(ScenarioConfig)}
+# config key -> (dataclass field, parser)
+_KEYS = {f.metadata["key"]: (f.name, _PARSERS[f.type]) for f in fields(ScenarioConfig)}
+
+
+def _error(name: str, reason: str) -> ConfigError:
+    """A ConfigError that names the config key of field `name`."""
+    return ConfigError(f"{_KEY_OF[name]}: {reason}")
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
@@ -338,6 +291,3 @@ def with_updates(cfg: ScenarioConfig, **updates) -> ScenarioConfig:
     new.validate()
     return new
 
-
-_FIELD_NAMES = {f.name for f in fields(ScenarioConfig)}
-assert all(attr in _FIELD_NAMES for attr, _ in _KEYS.values())

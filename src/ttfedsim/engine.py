@@ -233,6 +233,14 @@ class Scenario:
         sizes = [len(labels) for labels in self.shard_labels]
         return FirstSteps(self.initial_model, *shards, sizes, self.one_step, self.arch)
 
+    def is_first_upload(self, w_src: np.ndarray, dispatch_idx: int) -> bool:
+        """Whether training from w_src at dispatch_idx makes a first upload.
+
+        A first upload starts from the initial model itself at dispatch 0,
+        so it is the same in every run (see `first_steps`).
+        """
+        return dispatch_idx == 0 and w_src is self.initial_model
+
     @cached_property
     def one_step(self) -> list[bool]:
         """Per user, whether its local update is a single SGD step."""
@@ -341,6 +349,28 @@ def _permute_rows(rows: np.ndarray, order: np.ndarray) -> None:
         src[i] = i
 
 
+def _check_cycles_finite(tau_cp: np.ndarray, cycle: np.ndarray, distances: np.ndarray) -> None:
+    """Reject a user whose nominal cycle is infinite, naming the keys that set it.
+
+    Tiers and the interval are multiples of the cycles, so one infinite
+    cycle would leave every tier undefined.
+    """
+    stuck = np.flatnonzero(~np.isfinite(cycle))
+    if not len(stuck):
+        return
+    u = int(stuck[0])
+    if not np.isfinite(tau_cp[u]):
+        raise ConfigError(
+            f"compute.cycles_per_sample: user {u}'s compute time overflows "
+            "(compute.cpu_freq_hz, train.local_epochs and its shard size set it too)"
+        )
+    raise ConfigError(
+        f"sim.radius_m: user {u} at {distances[u]:.6g} m cannot upload: its Shannon rate "
+        "at the equal share B/U under mean fading is 0 (channel.tx_power_w, "
+        "channel.path_loss_exponent and channel.noise_psd_dbm_hz set it too)"
+    )
+
+
 def setup_scenario(cfg: ScenarioConfig) -> Scenario:
     """Materialize users, shards, channel and tier structure for a config.
 
@@ -369,20 +399,22 @@ def setup_scenario(cfg: ScenarioConfig) -> Scenario:
         )
     else:
         freqs = np.full(cfg.users, cfg.cpu_freq_hz)
-    tau_cp = wireless.compute_delay(cfg.local_epochs, cfg.cycles_per_sample, data_sizes, freqs)
     # t_u: compute time plus upload time at an equal share B/U under mean fading.
     # The loop stays scalar: numpy's array `**` differs from Python's float `**`
     # in the last bit (521 of 10,000 path losses over ten 1000-user placements),
     # so a vectorized path loss would change the bits of nominal_cycle.
     share = cfg.equal_share_hz
-    nominal_cycle = tau_cp + np.array(
-        [
-            wireless.comm_delay(
-                share, wireless.path_loss(float(d), params.path_loss_exponent), params
-            )
-            for d in distances
-        ]
-    )
+    with np.errstate(over="ignore"):  # an overflow is an infinite cycle, rejected below
+        tau_cp = wireless.compute_delay(cfg.local_epochs, cfg.cycles_per_sample, data_sizes, freqs)
+        nominal_cycle = tau_cp + np.array(
+            [
+                wireless.comm_delay(
+                    share, wireless.path_loss(float(d), params.path_loss_exponent), params
+                )
+                for d in distances
+            ]
+        )
+    _check_cycles_finite(tau_cp, nominal_cycle, distances)
     delta_t, tier_of = build_tiers(
         nominal_cycle, delta_t_s=cfg.delta_t_s, delta_t_frac=cfg.delta_t_frac
     )
@@ -428,7 +460,7 @@ def _train_user(sc: Scenario, u: int, w_src: np.ndarray, dispatch_idx: int) -> n
     with no training and no stream once the first run to train u has
     stored it.
     """
-    first = dispatch_idx == 0 and w_src is sc.initial_model
+    first = sc.is_first_upload(w_src, dispatch_idx)
     if first:
         store = sc.first_steps
         if u in store.uploads:
@@ -477,7 +509,7 @@ class _Training:
         w_src, index = self.sent[one[0]]
         one = np.array(one)
         sizes = sc.data_sizes[one].astype(np.int64)
-        first = index == 0 and w_src is sc.initial_model
+        first = sc.is_first_upload(w_src, index)
         w = one_step_mean(
             w_src,
             sc.train_images,

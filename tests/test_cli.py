@@ -676,6 +676,7 @@ BAD_VALUES = [
     ("sim.users=41", "sim.users"),  # 4 samples per class: 40 in all
     ("sim.seed=-1", "sim.seed"),
     ("data.seed=-1", "data.seed"),
+    ("sim.radius_m=1e8", "sim.radius_m"),  # in range, but no user can upload
 ]
 
 

@@ -221,6 +221,36 @@ class TestRoundTrip:
         assert len(a.content_hash()) == 16
         int(a.content_hash(), 16)  # hex digest prefix
 
+    @pytest.mark.parametrize(
+        "config,digest",
+        [
+            (None, "eb549c1f8bf74013"),
+            ("configs/default.cfg", "eb549c1f8bf74013"),
+            ("configs/compare.cfg", "f1af09e9cd5e6ce4"),
+        ],
+    )
+    def test_content_hash_is_pinned(self, config, digest):
+        """Every run summary carries this hash as `config_hash`."""
+        cfg = ScenarioConfig() if config is None else load_config(str(ROOT / config))
+        assert cfg.content_hash() == digest
+
+    def test_keys_are_the_benchmark_workloads_keys(self, monkeypatch):
+        """A workload writes every key but the optional interval, budget and idx paths."""
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        from workloads import WORKLOADS
+
+        for workload in WORKLOADS.values():
+            written = parse_config_text(workload.config_text(seed=1, index=0))
+            assert set(_KEYS) - set(written) == {
+                "sim.delta_t_s",
+                "sim.time_budget_s",
+                "data.train_images",
+                "data.train_labels",
+                "data.test_images",
+                "data.test_labels",
+            }
+            build_config(written)
+
 
 class TestWithUpdates:
     def test_applies_and_revalidates(self):

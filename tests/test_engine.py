@@ -2,6 +2,7 @@
 
 import heapq
 import math
+import re
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -18,7 +19,7 @@ from ttfedsim.aggregation import (
     fedavg_aggregate,
     ttfed_tier_weights,
 )
-from ttfedsim.config import FADING_MODES, POLICIES, ScenarioConfig, with_updates
+from ttfedsim.config import FADING_MODES, POLICIES, ConfigError, ScenarioConfig, with_updates
 from ttfedsim.datagen import partition, synthetic_digits
 from ttfedsim.engine import (
     RunMetrics,
@@ -175,6 +176,17 @@ class TestSetupScenario:
         freqs = cfg.local_epochs * cfg.cycles_per_sample * sc.data_sizes / sc.tau_cp
         assert (freqs >= 1e9).all() and (freqs <= 5e9).all()
         assert len(np.unique(freqs)) == 4
+
+    @pytest.mark.parametrize(
+        "overrides,key",
+        [
+            ({"radius_m": 1e8}, "sim.radius_m"),  # the Shannon rate underflows to 0
+            ({"cycles_per_sample": 1e308}, "compute.cycles_per_sample"),
+        ],
+    )
+    def test_an_infinite_cycle_is_a_config_error(self, overrides, key):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: user \d+\b"):
+            setup_scenario(toy_config(**overrides))
 
 
 class TestModelDtype:
@@ -716,6 +728,18 @@ class TestSharedScenario:
             assert served == fresh  # every EvalPoint and counter
             assert [w.tobytes() for w in trace] == [w.tobytes() for w in fresh_trace]
 
+    def test_only_the_initial_model_itself_makes_a_first_upload(self):
+        """A dispatch-0 upload from another model is trained, not read from the store."""
+        sc = setup_scenario(SHARED)
+        other = sc.initial_model + sc.initial_model.dtype.type(0.25)
+        for u in range(SHARED.users):
+            first = _train_user(sc, u, sc.initial_model, 0)
+            images, labels = sc.shard_images[u], sc.shard_labels[u]
+            rng = engine.substream(SHARED.seed, TAG_TRAIN, u, 0)
+            rng = rng if SHARED.batch_size < len(labels) else None
+            trained = learner.local_update(other, images, labels, SHARED, rng, sc.arch)
+            assert _train_user(sc, u, other, 0).tobytes() == trained.tobytes() != first.tobytes()
+
     def test_first_step_forward_runs_once_per_user(self, monkeypatch):
         """A four-algorithm comparison runs one stacked pass from the initial
         model per one-step shard size, and a replaced scenario runs them again."""
@@ -773,8 +797,8 @@ class TestSharedScenario:
 
     def test_first_step_store_memory_of_many_users(self):
         """The store holds every user's gradient of b1, W2 and b2, the first-step
-        d_hidden rows of the users whose upload is not kept, one parameter vector
-        per kept user, and at most 1 MiB more."""
+        d_hidden rows of the one-step users, one parameter vector per kept user,
+        and at most 1 MiB more."""
         cfg = toy_config(
             users=1000, train_per_class=1000, test_per_class=200, zipf_eta=1.0, dirichlet_theta=0.5
         )
